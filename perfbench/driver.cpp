@@ -7,9 +7,8 @@
  *
  *   perfbench_driver figures --seed=S --threads=T [--spawn-ns=N]
  *                            [--setup-only] [--trace-out=F]
- *                            [--sample-memo] [--verify-phases=K]
- *   perfbench_driver serve   --socket=P --seed=S --requests=N
- *                            --clients=C --threads=T [--trace-out=F]
+ *                            [--sample-memo]
+ *   perfbench_driver serve   --socket=P --seed=S [--trace-out=F]
  *   perfbench_driver probe   --workload=W --seed=S
  *
  * Everything is timed from this file around calls into the program's
@@ -34,6 +33,7 @@
 #include "api/driver.h"
 #include "api/json.h"
 #include "api/registry.h"
+#include "api/result.h"
 #include "common/clock.h"
 #include "common/fnv.h"
 #include "numeric/slab_ops.h"
@@ -144,6 +144,12 @@ class SplitMix
     uint64_t s_;
 };
 
+// The workloads' fixed shape; stamped into every document's
+// provenance, where run.py reads them back.
+constexpr int kVerifyPhases = 6;      //!< paper_figures phases recomputed
+constexpr int kClients = 3;           //!< serve_mixed connections
+constexpr int kRequestsPerClient = 150;
+
 JsonValue
 provenance(int threads)
 {
@@ -156,6 +162,9 @@ provenance(int threads)
     p.set("compiler", "gcc " __VERSION__);
     p.set("build_type", PERFBENCH_BUILD_TYPE);
     p.set("threads", threads);
+    p.set("verify_phases", kVerifyPhases);
+    p.set("clients", kClients);
+    p.set("requests_per_client", kRequestsPerClient);
     return p;
 }
 
@@ -445,7 +454,16 @@ runFigures(const Args &args)
     const int64_t t0 = now_ns();
     engine.parallelFor(todo.size(), [&](size_t i) {
         const int64_t s = now_ns();
-        api::Result r = api::produceResult(*todo[i], opts, &engine);
+        // What runExperimentBuffered does with no JSON output set:
+        // produce the document, then render its report. The "api" span
+        // holds the program's experiment span plus the assembly and
+        // rendering around it.
+        api::Result r;
+        {
+            obs::TraceSpan span("api", todo[i]->id);
+            r = api::produceResult(*todo[i], opts, &engine);
+            (void)api::ReportWriter::renderText(r);
+        }
         recs[i].latencyNs = now_ns() - s;
         recs[i].id = todo[i]->id;
         recs[i].fingerprint = Fnv64::hex(r.fingerprint());
@@ -477,28 +495,24 @@ runFigures(const Args &args)
     // Outside the timed window: a seeded sample of the workload's
     // phases, memoized on the shared engine (hits replay what the run
     // above cached) against memoize=false at one thread.
-    const int64_t verify_k = args.num("verify-phases", 0);
-    if (verify_k > 0) {
-        SplitMix vr(seed ^ 0x5eedf00dull);
-        int checked = 0, mismatched = 0;
-        for (const PhaseRef &p :
-             seededSample(paperPhases(), static_cast<size_t>(verify_k),
-                          vr)) {
-            PhaseRunConfig prc = phaseConfig(p);
-            prc.engine = &engine;
-            PhaseRunResult memo_run = runPhaseSample(
-                *p.model, *p.layer, p.op, kProgress, prc);
-            prc.engine = nullptr;
-            prc.memoize = false;
-            PhaseRunResult ref = runPhaseSample(*p.model, *p.layer, p.op,
-                                                kProgress, prc);
-            ++checked;
-            if (!samePhase(memo_run, ref))
-                ++mismatched;
-        }
-        out.set("phases_checked", checked);
-        out.set("phases_mismatched", mismatched);
+    SplitMix vr(seed ^ 0x5eedf00dull);
+    int checked = 0, mismatched = 0;
+    for (const PhaseRef &p :
+         seededSample(paperPhases(), kVerifyPhases, vr)) {
+        PhaseRunConfig prc = phaseConfig(p);
+        prc.engine = &engine;
+        PhaseRunResult memo_run =
+            runPhaseSample(*p.model, *p.layer, p.op, kProgress, prc);
+        prc.engine = nullptr;
+        prc.memoize = false;
+        PhaseRunResult ref =
+            runPhaseSample(*p.model, *p.layer, p.op, kProgress, prc);
+        ++checked;
+        if (!samePhase(memo_run, ref))
+            ++mismatched;
     }
+    out.set("phases_checked", checked);
+    out.set("phases_mismatched", mismatched);
     out.set("provenance", provenance(threads));
     emit(out);
     return 0;
@@ -535,19 +549,19 @@ specOf(int steps)
 
 /**
  * Per-client request sequences. Every rep does the same amount of
- * work — per client 10% cold, 2% (at least one) stats and the rest hot
+ * work — per client 10% cold, 2% stats and the rest hot
  * submits — and the seed draws their order, the hot specs and the cold
  * budgets. The cold budgets are stratified over the range (one draw
  * per equal slice), so they are distinct and their sum barely moves
  * between seeds.
  */
 std::vector<std::vector<ServeOp>>
-drawSequences(uint64_t seed, int clients, int per_client)
+drawSequences(uint64_t seed)
 {
     SplitMix rng(seed);
-    const int colds = std::max(1, per_client / 10);
-    const int stats = std::max(1, per_client / 50);
-    const int total_colds = colds * clients;
+    constexpr int colds = kRequestsPerClient / 10;
+    constexpr int stats = kRequestsPerClient / 50;
+    constexpr int total_colds = colds * kClients;
     std::vector<int> cold_budgets;
     for (int i = 0; i < total_colds; ++i) {
         const int lo = i * kColdSpan / total_colds;
@@ -558,9 +572,9 @@ drawSequences(uint64_t seed, int clients, int per_client)
     }
     rng.shuffle(cold_budgets);
     size_t next_cold = 0;
-    std::vector<std::vector<ServeOp>> seqs(static_cast<size_t>(clients));
+    std::vector<std::vector<ServeOp>> seqs(kClients);
     for (auto &seq : seqs) {
-        for (int k = 0; k < per_client; ++k) {
+        for (int k = 0; k < kRequestsPerClient; ++k) {
             ServeOp op;
             if (k < colds) {
                 op.kind = ServeOp::Cold;
@@ -630,9 +644,11 @@ issue(serve::ServeClient &client, const ServeOp &op)
         return rec;
     }
     if (!replyOk(resp)) {
-        rec.error = strField(resp, "error");
+        // "<error_code>: <message>", so the cause reads first.
+        rec.error = strField(resp, "error_code");
         if (rec.error.empty())
             rec.error = "error reply";
+        rec.error += ": " + strField(resp, "error");
         return rec;
     }
     rec.ok = true;
@@ -674,9 +690,10 @@ runServe(const Args &args)
 {
     const std::string socket = args.str("socket");
     const uint64_t seed = static_cast<uint64_t>(args.num("seed", 1));
-    const int clients = static_cast<int>(args.num("clients", 3));
-    const int per_client = static_cast<int>(args.num("requests", 60));
-    const int threads = static_cast<int>(args.num("threads", 1));
+    // The direct runs that verify served documents use every core, as
+    // the daemon's engine does.
+    const int threads =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
     const std::string traceOut = args.str("trace-out");
 
     JsonValue out = JsonValue::object();
@@ -699,10 +716,10 @@ runServe(const Args &args)
     }
 
     std::vector<std::vector<ServeOp>> seqs =
-        drawSequences(seed, clients, per_client);
-    std::vector<std::vector<OpRecord>> recs(static_cast<size_t>(clients));
+        drawSequences(seed);
+    std::vector<std::vector<OpRecord>> recs(kClients);
     std::vector<std::unique_ptr<serve::ServeClient>> conns;
-    for (int c = 0; c < clients; ++c) {
+    for (int c = 0; c < kClients; ++c) {
         conns.push_back(std::make_unique<serve::ServeClient>());
         if (!connectClient(*conns.back(), socket, &error)) {
             std::fprintf(stderr, "connect: %s\n", error.c_str());
@@ -716,7 +733,7 @@ runServe(const Args &args)
     obs::TraceCollector &tc = obs::TraceCollector::instance();
     const int64_t t0 = now_ns();
     std::vector<std::thread> workers;
-    for (int c = 0; c < clients; ++c) {
+    for (int c = 0; c < kClients; ++c) {
         workers.emplace_back([&, c] {
             serve::ServeClient &conn = *conns[static_cast<size_t>(c)];
             for (const ServeOp &op : seqs[static_cast<size_t>(c)]) {

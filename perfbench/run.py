@@ -32,10 +32,8 @@ sys.path.insert(0, HERE)
 import trace_reduce  # noqa: E402
 
 NPROC = os.cpu_count() or 1
-CLIENTS = 3
 DAEMON_WORKERS = 2
-REQUESTS_PER_CLIENT = 150
-VERIFY_PHASES = 6
+SCALING_THREADS = (1, 2, 4)
 SETUP_SAMPLES = 9
 DRIVER_TIMEOUT_S = 150
 EXPECTED = os.path.join(HERE, "expected_digests.json")
@@ -82,17 +80,20 @@ PER_LAYER_UNITS = {
     "trace.overhead_s": "s", "fidelity.paper_dev_pct": "%",
 }
 
-# Span category -> self-time metric. The serve client's scheduler
-# children are told apart by name ("sched.queue", "sched.run"). A span
-# of any other category counts as unattributed, so the self times plus
-# trace.unattributed_s always sum to the traced wall.
+# Span category -> self-time metric. "api" is the driver's span around
+# one experiment's produceResult + report rendering; with the program's
+# "experiment" span inside it, it makes api.self_s. The serve client's
+# scheduler children are told apart by name ("sched.queue",
+# "sched.run"). A span of any other category counts as unattributed, so
+# the self times plus trace.unattributed_s always sum to the traced wall.
 SELF_METRIC = {
-    "experiment": "api.self_s", "sweep": "sweep.self_s",
+    "api": "api.self_s", "experiment": "api.self_s",
+    "sweep": "sweep.self_s",
     "phase": "phase.self_s", "burst": "burst.self_s",
     "client": "serve.self_s", "sched.queue": "sched.queue_self_s",
     "sched.run": "sched.run_self_s",
 }
-SIM_CATEGORIES = ("experiment", "sweep", "phase", "burst")
+SIM_CATEGORIES = ("api", "experiment", "sweep", "phase", "burst")
 
 
 class Failures:
@@ -167,7 +168,7 @@ def provenance(driver_prov):
     p = dict(driver_prov or {})
     p.update({"nproc": NPROC, "git_commit": git_commit(),
               "source_sha256": h.hexdigest()[:16],
-              "clients": CLIENTS, "daemon_workers": DAEMON_WORKERS,
+              "daemon_workers": DAEMON_WORKERS,
               "daemon_cache_bytes": 64 << 20})
     return p
 
@@ -212,7 +213,7 @@ def p50_tail(values):
 
 def figures_rep(bins, seed, threads, fails, expected, extra=()):
     d = driver(bins, "figures", f"--seed={seed}", f"--threads={threads}",
-               f"--verify-phases={VERIFY_PHASES}", *extra)
+               *extra)
     if not fails.check(d is not None, "figures driver failed"):
         return None
     for e in d["experiments"]:
@@ -325,9 +326,7 @@ def serve_rep(bins, seed, workdir, fails, expected, trace=None,
     if not fails.check(d.ready, "fprakerd did not come up"):
         d.shutdown()
         return None, d.setup_s
-    args = [f"--socket={d.sock}", f"--seed={seed}",
-            f"--requests={REQUESTS_PER_CLIENT}", f"--clients={CLIENTS}",
-            f"--threads={NPROC}"]
+    args = [f"--socket={d.sock}", f"--seed={seed}"]
     if trace:
         args.append(f"--trace-out={trace}.client.json")
     killer = None
@@ -350,8 +349,10 @@ def serve_rep(bins, seed, workdir, fails, expected, trace=None,
     fails.attempted += len(r["ops"])
     fails.failed += len(bad)
     if bad:
+        # Each error reads "<cause>: <detail>"; name every distinct cause.
+        causes = sorted({o.get("error", "").split(":")[0] for o in bad})
         fails.notes.append(f"{len(bad)} requests failed "
-                           f"({bad[0].get('error')})")
+                           f"({', '.join(causes)})")
     r["daemon_rss_mb"] = rss
     return r, d.setup_s
 
@@ -462,7 +463,7 @@ def layer_from_trace(m, spans, window, lanes, sim_spans=None,
     named = 0.0
     for cat, v in r["self_s"].items():
         if cat in SELF_METRIC:
-            m[SELF_METRIC[cat]] = v
+            m[SELF_METRIC[cat]] = m.get(SELF_METRIC[cat], 0.0) + v
             named += v
     m["trace.wall_s"] = r["wall_s"]
     m["trace.unattributed_s"] = r["wall_s"] - named
@@ -507,13 +508,15 @@ def traced_figures(bins, seed, fails, expected, workdir):
                "traced_wall_s": traced["wall_s"], "spans": len(spans)}
     m["fidelity.paper_dev_pct"] = paper_dev_pct(plain)
     walls = {NPROC: plain["wall_s"]}
-    for t in (1, 2):
-        d = figures_rep(bins, s0, t, fails, expected)
-        if d:
-            walls[t] = d["wall_s"]
-    if len(walls) == 3:
+    for t in SCALING_THREADS:
+        if t not in walls:
+            d = figures_rep(bins, s0, t, fails, expected)
+            if d:
+                walls[t] = d["wall_s"]
+    if fails.check(all(t in walls for t in SCALING_THREADS),
+                   "scaling curve incomplete"):
         m["sim.speedup_t2"] = walls[1] / walls[2]
-        m["sim.speedup_t4"] = walls[1] / walls[NPROC]
+        m["sim.speedup_t4"] = walls[1] / walls[4]
     details["scaling_wall_s"] = walls
     fails.check(probe(bins, "paper_figures", seed, m),
                 "paper_figures probe failed")
@@ -574,7 +577,8 @@ def traced_serve(bins, seed, fails, expected, workdir):
     daemon = trace_reduce.load_spans(cap + ".daemon.json")
     up0 = traced["stats_before"]["uptime_s"] * 1e6
     up1 = traced["stats_after"]["uptime_s"] * 1e6
-    layer_from_trace(m, client, traced["trace_window_us"], CLIENTS,
+    layer_from_trace(m, client, traced["trace_window_us"],
+                     traced["provenance"]["clients"],
                      daemon, (up0, up1), DAEMON_WORKERS + NPROC - 1)
     m["trace.overhead_s"] = traced["wall_s"] - plain["wall_s"]
     fails.check(probe(bins, "serve_mixed", seed, m),

@@ -2,8 +2,9 @@
 """Self-tests of the benchmark's output checks.
 
 Each fault below must be reported as a failure (correct: false, a
-nonzero failed count and a nonzero exit status), never as a pass; a
-clean control run must pass. Uses the short serve_mixed workload.
+nonzero failed count and a nonzero exit status) whose failure notes
+name the fault's own cause, never as a pass; a clean control run must
+pass. Uses the short serve_mixed workload.
 
     python3 perfbench/selftest.py
 """
@@ -37,28 +38,33 @@ def main():
     with open(wrong, "w") as f:
         json.dump(digests, f)
 
+    # (name, causes: None for the passing control, else words of which
+    # one must appear in the failure notes, flags)
     cases = [
-        ("clean control run", True, ()),
-        ("wrong expected digest", False, ("--expected", wrong)),
-        ("daemon killed mid-run", False, ("--kill-daemon-after", "0.4")),
+        ("clean control run", None, ()),
+        ("wrong expected digest", ("digest",), ("--expected", wrong)),
+        ("daemon killed mid-run", ("transport", "shut down"),
+         ("--kill-daemon-after", "0.4")),
         # One worker stalled per job and a one-slot queue: concurrent
         # cold submits are refused with `overloaded`.
-        ("refused submit", False,
+        ("refused submit", ("overloaded",),
          ("--daemon-arg=--workers=1", "--daemon-arg=--queue-depth=1",
           "--daemon-arg=--fault=scheduler.worker_stall_ms=300:1000")),
     ]
     status = 0
-    for name, should_pass, extra in cases:
+    for name, causes, extra in cases:
         code, result, notes = bench(*extra)
-        passed = (code == 0 and result is not None and result["correct"]
+        if causes is None:
+            ok = (code == 0 and result is not None and result["correct"]
                   and result["failed"] == 0)
-        failed_loudly = (code != 0 and result is not None
-                         and not result["correct"] and result["failed"] > 0)
-        ok = passed if should_pass else failed_loudly
+        else:
+            ok = (code != 0 and result is not None
+                  and not result["correct"] and result["failed"] > 0
+                  and any(c in n for c in causes for n in notes))
         status |= not ok
         print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {code}, "
               f"result {json.dumps(result and {k: result[k] for k in ('correct', 'attempted', 'failed')})}"
-              f"{'; ' + notes[0] if notes else ''}")
+              f"{'; ' + ' | '.join(notes) if notes else ''}")
     os.remove(wrong)
     return status
 

@@ -2,8 +2,9 @@
 """Reduce a Chrome trace_event capture to "where did the time go".
 
 The program records complete ('X') spans per thread: experiment ->
-sweep -> phase -> burst in a run, plus the benchmark's own client and
-scheduler spans in the serve workload. This script turns one capture
+sweep -> phase -> burst in a run. The benchmark adds its own: an api
+span around each experiment (result assembly and report rendering), and
+client and scheduler spans in the serve workload. This script turns one capture
 into self time per span category (a span's duration minus the part its
 direct children cover), per-thread busy time, the longest span of a
 category and span-duration percentiles.
