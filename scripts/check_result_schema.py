@@ -67,9 +67,9 @@ def validate(path, doc, errors):
             _fail(path, errors,
                   f"provenance.sample_steps invalid: {steps!r}")
         simd = prov.get("simd_level")
-        if simd not in ("scalar", "sse2", "avx2", "avx512"):
+        if simd not in ("scalar", "sse2"):
             _fail(path, errors,
-                  f"provenance.simd_level not a dispatch tier: {simd!r}")
+                  f"provenance.simd_level not a slab_ops body: {simd!r}")
         variants = prov.get("variants")
         if not isinstance(variants, list) or not all(
                 isinstance(v, str) for v in variants):

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/logging.h"
 #include "numeric/slab_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -74,17 +73,6 @@ printUsage(FILE *to, const char *prog)
         "Results are bit-identical at any thread count; the knobs only\n"
         "change wall-clock time and sampling noise.\n",
         prog);
-}
-
-void
-printShimUsage(FILE *to, const char *prog)
-{
-    std::fprintf(to,
-                 "usage: %s [--threads=N] [--sample-steps=N] "
-                 "[--json=FILE]\n"
-                 "(this binary is a thin shim over `fpraker run`; see "
-                 "`fpraker help`)\n",
-                 prog);
 }
 
 /** Strict positive-integer parse: all digits, value >= 1. */
@@ -269,39 +257,6 @@ runExperiment(const ExperimentInfo &info, const CliOptions &opts)
     ExperimentOutcome out = runExperimentBuffered(info, opts, nullptr);
     std::fputs(out.text.c_str(), stdout);
     return out.status;
-}
-
-int
-experimentMain(std::initializer_list<const char *> ids, int argc,
-               char **argv)
-{
-    CliOptions opts;
-    std::string error;
-    if (!parseCliArgs(argc, argv, 1, false, &opts, &error)) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-        printShimUsage(stderr, argv[0]);
-        return 2;
-    }
-    if (!opts.json.empty() && ids.size() != 1) {
-        std::fprintf(stderr,
-                     "%s: --json requires exactly one experiment and "
-                     "this shim runs %zu (use --json-dir)\n",
-                     argv[0], ids.size());
-        return 2;
-    }
-
-    int status = 0;
-    bool first = true;
-    for (const char *id : ids) {
-        const ExperimentInfo *info =
-            ExperimentRegistry::instance().find(id);
-        panic_if(!info, "shim references unknown experiment '%s'", id);
-        if (!first)
-            std::printf("\n");
-        first = false;
-        status |= runExperiment(*info, opts);
-    }
-    return status;
 }
 
 int

@@ -1,7 +1,6 @@
 /**
  * @file
- * The experiment CLI driver shared by the `fpraker` multiplexer and
- * the per-figure shim binaries.
+ * The experiment CLI driver behind the `fpraker` multiplexer.
  *
  * Flag parsing is strict: unknown --flags and out-of-range values
  * (e.g. --threads=0) print usage to stderr and exit with status 2.
@@ -12,7 +11,6 @@
 #ifndef FPRAKER_API_DRIVER_H
 #define FPRAKER_API_DRIVER_H
 
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -42,8 +40,8 @@ struct CliOptions
 
 /**
  * Parse argv[first..). @p allow_positionals permits bare experiment
- * ids (the `fpraker run` form); shims accept flags only. On error
- * fills @p error and returns false.
+ * ids and --all (the `fpraker run` form); `fpraker list` accepts
+ * flags only. On error fills @p error and returns false.
  */
 bool parseCliArgs(int argc, char **argv, int first,
                   bool allow_positionals, CliOptions *opts,
@@ -84,14 +82,6 @@ ExperimentOutcome runExperimentBuffered(const ExperimentInfo &info,
  * document. Returns the process exit status contribution (0 or 1).
  */
 int runExperiment(const ExperimentInfo &info, const CliOptions &opts);
-
-/**
- * Entry point for the per-figure shim binaries: parse flags strictly,
- * then run the fixed experiment list in order. Returns the process
- * exit status (0 success, 1 experiment failure, 2 usage error).
- */
-int experimentMain(std::initializer_list<const char *> ids, int argc,
-                   char **argv);
 
 /** Entry point for the `fpraker` multiplexer (list / run). */
 int cliMain(int argc, char **argv);

@@ -21,9 +21,9 @@
  *    parallel.
  *  - generation — the PR 4 data-supply benchmark: the scalar
  *    value-at-a-time TensorGenerator walk vs the batched slab path
- *    (integer-threshold Bernoullis + SIMD field packing), and the
- *    scalar vs SIMD term classifier (slab_ops countTerms). Both pairs
- *    must produce identical bits; only wall-clock may differ.
+ *    (integer-threshold Bernoullis + SIMD field packing), which must
+ *    produce identical bits, plus the slab term classifier
+ *    (slab_ops countTerms) timed on its own.
  *  - baseline_tile — the functional bit-parallel tile's batched row
  *    walk, serial vs PE rows sharded across an engine, with output
  *    digests that must match.
@@ -449,8 +449,8 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
 
     // Generation section: the tensor data-supply path. Scalar
     // value-at-a-time walk vs the batched slab path over the same
-    // profile/seed (digests must match bit for bit), plus the scalar
-    // vs SIMD term classifier over the kernel's A slab.
+    // profile/seed (digests must match bit for bit), plus the term
+    // classifier over the kernel's A slab.
     const size_t gen_n = std::max<size_t>(w.a.size(), 4096);
     std::vector<BFloat16> gen_buf(gen_n);
     ValueProfile gen_profile =
@@ -475,29 +475,19 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
     double gen_speedup = gen_scalar_t.seconds / gen_batched_t.seconds;
 
     const TermLut &lut = TermLut::of(TermEncoding::Canonical);
-    auto count_run = [&](bool simd) {
+    TileTiming count_t = best([&] {
         TileTiming t;
         uint64_t zeros = 0, terms = 0;
         double t0 = now();
-        if (simd)
-            slab::countTerms(w.a.data(), w.a.size(),
-                             lut.countsTable(), lut.nibbleLut(),
-                             &zeros, &terms);
-        else
-            slab::countTermsScalar(w.a.data(), w.a.size(),
-                                   lut.countsTable(), &zeros, &terms);
+        slab::countTerms(w.a.data(), w.a.size(), lut.countsTable(),
+                         &zeros, &terms);
         t.seconds = now() - t0;
         Checksum sum;
         sum.add(zeros);
         sum.add(terms);
         t.checksum = sum.value();
         return t;
-    };
-    TileTiming count_scalar_t = best([&] { return count_run(false); });
-    TileTiming count_simd_t = best([&] { return count_run(true); });
-    bool count_identical =
-        count_scalar_t.checksum == count_simd_t.checksum;
-    double count_speedup = count_scalar_t.seconds / count_simd_t.seconds;
+    });
 
     std::snprintf(caption, sizeof(caption),
                   "generation: %zu values (batched slab path, SIMD "
@@ -512,14 +502,8 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
                Table::cell(gen_batched_t.seconds, 4),
                Table::cell(gen_n / gen_batched_t.seconds, 0),
                Table::cell(gen_speedup)});
-    gt.addRow({"term-count scalar",
-               Table::cell(count_scalar_t.seconds, 4),
-               Table::cell(w.a.size() / count_scalar_t.seconds, 0),
-               "1.00"});
-    gt.addRow({"term-count " + std::string(slab::simdLevel()),
-               Table::cell(count_simd_t.seconds, 4),
-               Table::cell(w.a.size() / count_simd_t.seconds, 0),
-               Table::cell(count_speedup)});
+    gt.addRow({"term-count scalar", Table::cell(count_t.seconds, 4),
+               Table::cell(w.a.size() / count_t.seconds, 0), "1.00"});
 
     // Workload ingestion (PR 8): one im2col-lowered conv phase
     // (AlexNet conv2 forward), operand streams supplied two ways —
@@ -892,7 +876,7 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
 
     bool all_identical = deterministic_reps && tile_identical &&
                          sweep_identical && model_identical &&
-                         gen_identical && count_identical &&
+                         gen_identical &&
                          wl_identical && memo_identical &&
                          base_identical && serve_identical;
     res.note(std::string("bit-identical: ") +
@@ -971,12 +955,9 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
         .metric("speedup_batched", gen_speedup, 3)
         .metric("digest_scalar", hex16(gen_scalar_t.checksum))
         .metric("digest_batched", hex16(gen_batched_t.checksum))
-        .metric("count_scalar_s", count_scalar_t.seconds, 6)
-        .metric("count_simd_s", count_simd_t.seconds, 6)
-        .metric("count_speedup", count_speedup, 3)
-        .metric("digest_count_scalar", hex16(count_scalar_t.checksum))
-        .metric("digest_count_simd", hex16(count_simd_t.checksum))
-        .metric("bit_identical", gen_identical && count_identical);
+        .metric("count_scalar_s", count_t.seconds, 6)
+        .metric("digest_count_scalar", hex16(count_t.checksum))
+        .metric("bit_identical", gen_identical);
     // (Digest keys, like generation's: the smoke gate's checksum_*
     // sequence predates this section.)
     res.group("workload")
@@ -1056,8 +1037,7 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
     fp.add(model_sum_n);
     fp.add(gen_scalar_t.checksum);
     fp.add(gen_batched_t.checksum);
-    fp.add(count_scalar_t.checksum);
-    fp.add(count_simd_t.checksum);
+    fp.add(count_t.checksum);
     fp.add(wl_gen_t.checksum);
     fp.add(wl_trace_t.checksum);
     fp.add(memo_off_t.checksum);

@@ -115,12 +115,11 @@ class Result
     int threads = 0;
     int sampleSteps = 0;
     /**
-     * slab_ops dispatch tier the run executed under ("scalar",
-     * "sse2", "avx2", or "avx512" — whichever activeTier() resolved,
-     * including a FPRAKER_SIMD override). Filled by the driver when
-     * the experiment leaves it empty. Provenance only — the
-     * determinism contract says every tier produces the same bytes,
-     * so the tier must never be part of the fingerprint.
+     * slab_ops body compiled into the binary ("sse2" or "scalar",
+     * see slab::simdLevel()). Filled by the driver when the
+     * experiment leaves it empty. Provenance only — every body
+     * produces the same bytes, so it must never be part of the
+     * fingerprint.
      */
     std::string simdLevel;
     std::vector<std::string> variants;

@@ -14,9 +14,6 @@ TermLut::TermLut(TermEncoding enc)
         streams_[sig] = encoder.encodeSignificand(sig);
         counts_[sig] = static_cast<uint8_t>(streams_[sig].size());
     }
-    for (int v = 0; v < 16; ++v)
-        nibble_.pop4[v] = static_cast<uint8_t>(__builtin_popcount(v));
-    nibble_.nafFold = (enc == TermEncoding::Canonical);
 }
 
 const TermLut &

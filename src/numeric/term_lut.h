@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "numeric/slab_ops.h"
 #include "numeric/term_encoder.h"
 
 namespace fpraker {
@@ -58,19 +57,9 @@ class TermLut
 
     /**
      * The full 256-entry term-count table (counts_[0] == 0), for the
-     * slab-grain SIMD classifiers in numeric/slab_ops.h.
+     * slab-grain classifier slab::countTerms (numeric/slab_ops.h).
      */
     const uint8_t *countsTable() const { return counts_; }
-
-    /**
-     * 16-entry in-register counterpart of countsTable() for the
-     * pshufb tiers in slab_ops: a nibble popcount table plus the
-     * encoding's fold rule (canonical NAF counts are popcount(x^3x),
-     * RawBits counts are popcount(x)). Parity with countsTable() over
-     * the reachable significand domain {0} u [128, 255] is pinned by
-     * tests/test_simd_tiers.cpp.
-     */
-    const slab::NibbleCountLut &nibbleLut() const { return nibble_; }
 
     TermEncoding encoding() const { return encoding_; }
 
@@ -80,7 +69,6 @@ class TermLut
     TermEncoding encoding_;
     TermStream streams_[256];
     uint8_t counts_[256] = {};
-    slab::NibbleCountLut nibble_ = {};
 };
 
 } // namespace fpraker

@@ -1,5 +1,6 @@
 #include "serve/daemon.h"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -25,34 +26,49 @@ FPRAKER_METRIC_COUNTER(g_protocolErrors, "serve.protocol_errors",
                        "requests rejected before dispatch (bad JSON, "
                        "oversize, or framing failures)");
 
-/** Per-op request counter + latency histogram, resolved once per op
- *  string per process (the op set is tiny and closed). */
+/** Ops the protocol defines, plus "other" (last) for anything else:
+ *  op names come off the wire, so a hostile stream of novel op
+ *  strings must not grow the registry without bound. */
+constexpr const char *kKnownOps[] = {
+    "ping",  "submit",  "status",   "result",
+    "stats", "metrics", "shutdown", "other",
+};
+constexpr size_t kNumOps = std::size(kKnownOps);
+
+/** Per-op request counter + latency histogram. */
 struct OpInstruments
 {
-    obs::Counter &requests;
-    obs::Histogram &latency;
-
-    static OpInstruments &
-    of(const std::string &op)
-    {
-        static std::mutex mutex;
-        static std::vector<std::pair<std::string, OpInstruments *>>
-            known;
-        std::lock_guard<std::mutex> lock(mutex);
-        for (auto &[name, inst] : known)
-            if (name == op)
-                return *inst;
-        obs::Registry &reg = obs::Registry::instance();
-        auto *inst = new OpInstruments{
-            reg.counter("serve.requests." + op,
-                        "requests dispatched for op '" + op + "'"),
-            reg.histogram("serve.request_seconds." + op,
-                          "request latency for op '" + op + "'",
-                          obs::Buckets::latency())};
-        known.emplace_back(op, inst);
-        return *inst;
-    }
+    obs::Counter *requests;
+    obs::Histogram *latency;
 };
+
+/** Instruments of @p request's op ("other" when unknown); every
+ *  op's pair registers together on first use. */
+const OpInstruments &
+opInstruments(const api::JsonValue &request)
+{
+    static const std::array<OpInstruments, kNumOps> table = [] {
+        std::array<OpInstruments, kNumOps> t{};
+        obs::Registry &reg = obs::Registry::instance();
+        for (size_t k = 0; k < kNumOps; ++k) {
+            const std::string op = kKnownOps[k];
+            t[k] = {&reg.counter("serve.requests." + op,
+                                 "requests dispatched for op '" + op +
+                                     "'"),
+                    &reg.histogram("serve.request_seconds." + op,
+                                   "request latency for op '" + op +
+                                       "'",
+                                   obs::Buckets::latency())};
+        }
+        return t;
+    }();
+    const api::JsonValue *op = request.find("op");
+    if (op && op->kind() == api::JsonValue::Kind::String)
+        for (size_t k = 0; k + 1 < kNumOps; ++k)
+            if (op->str() == kKnownOps[k])
+                return table[k];
+    return table[kNumOps - 1];
+}
 
 } // namespace
 
@@ -410,28 +426,11 @@ Daemon::handleConnection(int fd)
             response = errorResponse(kErrBadRequest,
                                      "bad request: " + error);
         } else {
-            // Per-op request count + latency. Op names come off the
-            // wire, so anything outside the protocol's closed set is
-            // bucketed as "other" — a hostile stream of novel op
-            // strings must not grow the registry without bound.
-            static const char *const kKnownOps[] = {
-                "ping",   "submit",  "status",   "result",
-                "stats",  "metrics", "shutdown",
-            };
-            std::string opName = "other";
-            if (const api::JsonValue *op = request.find("op");
-                op && op->kind() == api::JsonValue::Kind::String) {
-                for (const char *known : kKnownOps)
-                    if (op->str() == known) {
-                        opName = known;
-                        break;
-                    }
-            }
-            OpInstruments &oi = OpInstruments::of(opName);
+            const OpInstruments &oi = opInstruments(request);
             const int64_t t0 = now_ns();
             response = handleRequest(request);
-            oi.requests.add();
-            oi.latency.observe(
+            oi.requests->add();
+            oi.latency->observe(
                 static_cast<double>(now_ns() - t0) * 1e-9);
         }
         if (FaultInjector::instance().fires("daemon.drop_connection"))

@@ -10,9 +10,10 @@
  *  - differential testing: the optimized FPRakerColumn / Tile must
  *    produce bit-identical cycles, accumulator values, and statistics
  *    (tests/test_sim.cpp fuzzes the two against each other);
- *  - perf regression: bench/perf_regression.cpp times this path as the
- *    "seed serial" baseline that optimized and parallel runs are
- *    measured against, so the speedup trajectory stays anchored.
+ *  - perf regression: src/api/experiments/perf_regression.cpp times
+ *    this path as the "seed serial" baseline that optimized and
+ *    parallel runs are measured against, so the speedup trajectory
+ *    stays anchored.
  *
  * Do not optimize this file; it is the contract.
  */

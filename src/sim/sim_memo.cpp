@@ -162,8 +162,8 @@ SimMemo::global()
             return nullptr;
         char *end = nullptr;
         unsigned long long bytes = std::strtoull(env, &end, 10);
-        // Loud-fail like FPRAKER_SIMD: a typo must never silently
-        // change what the run measures.
+        // Loud-fail: a typo must never silently change what the run
+        // measures.
         panic_if(end == env || *end != '\0' || bytes == 0,
                  "FPRAKER_MEMO=%s: expected 'off' or a byte budget",
                  env);

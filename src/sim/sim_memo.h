@@ -21,7 +21,7 @@
  * The process-wide instance (global()) is shared by every phase run
  * and SweepRunner job; the FPRAKER_MEMO environment knob sizes it
  * (byte budget) or disables it ("off"/"0" — loud-fail on anything
- * else, like FPRAKER_SIMD). Hit/miss counts land in result provenance
+ * else). Hit/miss counts land in result provenance
  * only, never in fingerprints.
  */
 

@@ -215,8 +215,8 @@ measureTensor(const BFloat16 *values, size_t n, TermEncoding encoding)
     const TermLut &lut = TermLut::of(encoding);
     TensorStats stats;
     stats.values = n;
-    slab::countTerms(values, n, lut.countsTable(), lut.nibbleLut(),
-                     &stats.zeros, &stats.terms);
+    slab::countTerms(values, n, lut.countsTable(), &stats.zeros,
+                     &stats.terms);
     return stats;
 }
 

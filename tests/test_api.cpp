@@ -315,7 +315,7 @@ TEST(Driver, StrictFlagParsing)
     EXPECT_FALSE(parse({"--bogus"}, false, &bad));
     EXPECT_FALSE(parse({"--bogus"}, true, &bad));
     EXPECT_FALSE(parse({"stray"}, false, &bad));
-    EXPECT_FALSE(parse({"--all"}, false, &bad)); // shims reject --all
+    EXPECT_FALSE(parse({"--all"}, false, &bad)); // `list` rejects --all
 
     CliOptions run_opts;
     EXPECT_TRUE(parse({"run-id", "--all"}, true, &run_opts));

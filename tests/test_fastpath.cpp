@@ -1,10 +1,10 @@
 /**
  * @file
- * PR 4 fast-data-path coverage: the SIMD slab kernels against their
- * scalar reference bodies, the batched TensorGenerator fill against
- * the value-at-a-time walk, pooled tile scratch against fresh
- * construction (at several thread counts), and BaselineTile row
- * sharding against the serial walk. Everything here is a
+ * Fast-data-path coverage: the slab kernels against per-value
+ * references (the term LUT, the scalar packer), the batched
+ * TensorGenerator fill against the value-at-a-time walk, pooled tile
+ * scratch against fresh construction (at several thread counts), and
+ * BaselineTile row sharding against the serial walk. Everything here is a
  * bit-identity contract — no tolerances.
  */
 
@@ -39,25 +39,53 @@ randomFinite(Rng &rng, double zero_p)
     }
 }
 
-TEST(SlabOps, CountTermsMatchesScalar)
+/** Extreme-exponent finite operand: subnormal-exponent (biased 0,
+ *  nonzero mantissa), minimum-normal, or maximum-finite exponent. */
+BFloat16
+extremeFinite(Rng &rng)
+{
+    const uint16_t sign = rng.bernoulli(0.5) ? 0x8000u : 0u;
+    const uint16_t man =
+        static_cast<uint16_t>((rng.next() & 0x7fu) | 1u);
+    switch (rng.uniformInt(int64_t(0), int64_t(2))) {
+    case 0:
+        return BFloat16::fromBits(static_cast<uint16_t>(sign | man));
+    case 1:
+        return BFloat16::fromBits(
+            static_cast<uint16_t>(sign | (1u << 7) | man));
+    default:
+        return BFloat16::fromBits(
+            static_cast<uint16_t>(sign | (254u << 7) | man));
+    }
+}
+
+TEST(SlabOps, CountTermsMatchesLutLoop)
 {
     Rng rng(0xc0de);
     for (TermEncoding enc :
          {TermEncoding::Canonical, TermEncoding::RawBits}) {
         const TermLut &lut = TermLut::of(enc);
         for (double zero_p : {0.0, 0.3, 0.95, 1.0}) {
-            // Sizes straddle every SIMD width and tail shape.
-            for (size_t n : {size_t(0), size_t(1), size_t(7),
-                             size_t(16), size_t(31), size_t(32),
-                             size_t(33), size_t(1000)}) {
+            for (size_t n :
+                 {size_t(0), size_t(1), size_t(7), size_t(15),
+                  size_t(16), size_t(31), size_t(32), size_t(33),
+                  size_t(63), size_t(64), size_t(65), size_t(127),
+                  size_t(128), size_t(1000)}) {
                 std::vector<BFloat16> v(n);
                 for (auto &x : v)
-                    x = randomFinite(rng, zero_p);
-                uint64_t z_ref = 0, t_ref = 0, z = 0, t = 0;
-                slab::countTermsScalar(v.data(), n, lut.countsTable(),
-                                       &z_ref, &t_ref);
-                slab::countTerms(v.data(), n, lut.countsTable(),
-                                 lut.nibbleLut(), &z, &t);
+                    x = rng.bernoulli(0.25) ? extremeFinite(rng)
+                                            : randomFinite(rng, zero_p);
+                // Accumulators start nonzero: countTerms must add.
+                uint64_t z_ref = 7, t_ref = 9, z = 7, t = 9;
+                for (BFloat16 x : v) {
+                    if (x.isZero())
+                        ++z_ref;
+                    else
+                        t_ref += static_cast<uint64_t>(
+                            lut.countTerms(x.significand()));
+                }
+                slab::countTerms(v.data(), n, lut.countsTable(), &z,
+                                 &t);
                 ASSERT_EQ(z_ref, z) << "n=" << n;
                 ASSERT_EQ(t_ref, t) << "n=" << n;
             }
@@ -65,20 +93,52 @@ TEST(SlabOps, CountTermsMatchesScalar)
     }
 }
 
+TEST(SlabOps, CountTermsAllZeroSlab)
+{
+    const TermLut &lut = TermLut::of(TermEncoding::Canonical);
+    for (size_t n : {size_t(1), size_t(16), size_t(64), size_t(97)}) {
+        std::vector<BFloat16> v(n); // value-initialized: all zero
+        uint64_t z = 3, t = 5;
+        slab::countTerms(v.data(), n, lut.countsTable(), &z, &t);
+        EXPECT_EQ(n + 3, z);
+        EXPECT_EQ(5u, t);
+    }
+}
+
 TEST(SlabOps, PackBf16MatchesScalar)
 {
+    // packBf16's compiled body (SSE2 on x86-64) against the portable
+    // reference, across its 8-value stride and every ragged tail.
     Rng rng(0xbeef);
     for (size_t n : {size_t(1), size_t(8), size_t(15), size_t(16),
-                     size_t(17), size_t(333)}) {
+                     size_t(17), size_t(31), size_t(32), size_t(33),
+                     size_t(64), size_t(65), size_t(333)}) {
         std::vector<int16_t> exp(n);
         std::vector<uint8_t> man(n), neg(n);
         for (size_t i = 0; i < n; ++i) {
-            bool zero = rng.bernoulli(0.3);
-            exp[i] = zero ? 0
-                          : static_cast<int16_t>(
-                                rng.uniformInt(int64_t(1), int64_t(254)));
-            man[i] = zero ? 0 : static_cast<uint8_t>(rng.next() & 0x7f);
-            neg[i] = zero ? 0 : static_cast<uint8_t>(rng.next() & 1);
+            if (rng.bernoulli(0.2)) {
+                exp[i] = man[i] = neg[i] = 0; // zero value
+                continue;
+            }
+            // Full field ranges, including the extreme exponents 1 and
+            // 254 and out-of-range planes the kernels must mask.
+            switch (rng.uniformInt(int64_t(0), int64_t(3))) {
+            case 0:
+                exp[i] = 1;
+                break;
+            case 1:
+                exp[i] = 254;
+                break;
+            case 2:
+                exp[i] = static_cast<int16_t>(
+                    rng.uniformInt(int64_t(1), int64_t(254)));
+                break;
+            default:
+                exp[i] = static_cast<int16_t>(rng.next());
+                break;
+            }
+            man[i] = static_cast<uint8_t>(rng.next());
+            neg[i] = static_cast<uint8_t>(rng.next() & 1);
         }
         std::vector<BFloat16> ref(n), got(n);
         slab::packBf16Scalar(exp.data(), man.data(), neg.data(), n,
@@ -86,8 +146,18 @@ TEST(SlabOps, PackBf16MatchesScalar)
         slab::packBf16(exp.data(), man.data(), neg.data(), n,
                        got.data());
         ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                                 n * sizeof(BFloat16)));
+                                 n * sizeof(BFloat16)))
+            << "n=" << n;
     }
+}
+
+TEST(SlabOps, SimdLevelNamesCompiledBody)
+{
+#ifdef __SSE2__
+    EXPECT_STREQ("sse2", slab::simdLevel());
+#else
+    EXPECT_STREQ("scalar", slab::simdLevel());
+#endif
 }
 
 TEST(TensorGen, BatchedFillMatchesScalarWalk)
