@@ -40,6 +40,7 @@ FPRAKER_METRIC_HISTOGRAM(g_burstSeconds, "phase.burst_seconds",
 
 constexpr uint64_t kBurstGrainTag = 0xb5b5b5b5'00000001ull;
 constexpr uint64_t kPhaseGrainTag = 0xb5b5b5b5'00000002ull;
+constexpr uint64_t kGeneratedBurstGrainTag = 0xb5b5b5b5'00000003ull;
 
 uint64_t
 tileContextDigest(const TileConfig &t, int steps_per_output)
@@ -76,6 +77,13 @@ appendDouble(std::vector<unsigned char> &buf, double v)
     appendU64(buf, bits);
 }
 
+// Every field below enters the key: a field added to ValueProfile
+// changes what the generator synthesizes, so it must be appended here
+// (and this assert updated) or memo hits would ignore it.
+static_assert(sizeof(ValueProfile) == 7 * sizeof(uint64_t),
+              "ValueProfile changed: append the new field to "
+              "appendProfile so the memo keys still cover it");
+
 void
 appendProfile(std::vector<unsigned char> &buf, const ValueProfile &p)
 {
@@ -86,6 +94,25 @@ appendProfile(std::vector<unsigned char> &buf, const ValueProfile &p)
     appendDouble(buf, p.expCorr);
     appendU64(buf, static_cast<uint64_t>(p.mantissaBits));
     appendDouble(buf, p.bitDensity);
+}
+
+/**
+ * Identity of a generator-backed phase's operand streams: the window
+ * widths plus everything GeneratorSlabSupply::fill* reads besides the
+ * burst index and fill length — the base seed and both profiles,
+ * serial then parallel. Built once per phase and appended by both the
+ * phase grain and the burst grain, so the two keys cannot drift apart.
+ */
+std::vector<unsigned char>
+generatorIdentity(const PhasePlan &plan)
+{
+    std::vector<unsigned char> id;
+    appendU64(id, static_cast<uint64_t>(plan.aLen));
+    appendU64(id, static_cast<uint64_t>(plan.bLen));
+    appendU64(id, plan.baseSeed);
+    appendProfile(id, plan.serialProfile);
+    appendProfile(id, plan.parallelProfile);
+    return id;
 }
 
 /** Cached burst payload — everything a phase run reads of a burst. */
@@ -195,20 +222,20 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
     // the whole result memoizes without even generating the operands.
     // Trace-backed phases (cfg.supply) are covered by the burst grain
     // below instead: their content lives in the trace bytes.
+    const bool generated_supply = !cfg.supply;
+    std::vector<unsigned char> gen_identity;
     std::vector<unsigned char> phase_key;
     uint64_t phase_hash = 0;
-    if (memo && !cfg.supply) {
+    if (memo && generated_supply) {
+        gen_identity = generatorIdentity(plan);
         appendU64(phase_key, ctx_digest);
         appendU64(phase_key, kPhaseGrainTag);
-        appendU64(phase_key, plan.baseSeed);
         appendU64(phase_key, static_cast<uint64_t>(plan.sampleSteps));
         appendU64(phase_key, static_cast<uint64_t>(plan.bursts));
-        appendU64(phase_key, static_cast<uint64_t>(a_len));
-        appendU64(phase_key, static_cast<uint64_t>(b_len));
         appendU64(phase_key, static_cast<uint64_t>(plan.serialSide));
         appendU64(phase_key, static_cast<uint64_t>(plan.parallelSide));
-        appendProfile(phase_key, plan.serialProfile);
-        appendProfile(phase_key, plan.parallelProfile);
+        phase_key.insert(phase_key.end(), gen_identity.begin(),
+                         gen_identity.end());
         Fnv64 h;
         h.addBytes(phase_key.data(), phase_key.size());
         phase_hash = h.value();
@@ -276,6 +303,53 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
             "burst", obs::TraceCollector::instance().enabled()
                          ? layer.name + ":b" + std::to_string(bi)
                          : std::string());
+        BurstResult &out = bursts[bi];
+
+        // Burst grain: a burst is a pure function of the machine
+        // context and its operand window bytes (accumulators reset
+        // between bursts and phase runs never read the tile's float
+        // outputs), so identical content — re-sampled phases sharing
+        // their leading bursts, im2col-overlapping conv windows —
+        // skips the tile entirely. A hit copies bytes a prior
+        // identical computation produced, so results stay
+        // bit-identical; only WHICH bursts hit can vary with thread
+        // interleaving, which is why hit counts are provenance, never
+        // fingerprint.
+        thread_local std::vector<unsigned char> key_buf;
+        uint64_t burst_hash = 0;
+        auto probe = [&]() {
+            Fnv64 h;
+            h.addBytes(key_buf.data(), key_buf.size());
+            burst_hash = h.value();
+            BurstMemoValue v;
+            if (!memo->lookup(burst_hash, key_buf.data(), key_buf.size(),
+                              &v, sizeof(v)))
+                return false;
+            out.cycles = v.cycles;
+            out.peStats = v.peStats;
+            out.serialStats = v.serialStats;
+            out.parallelStats = v.parallelStats;
+            out.memoHit = true;
+            g_phaseBursts.add();
+            g_burstSeconds.observe(
+                static_cast<double>(now_ns() - burst_t0) * 1e-9);
+            return true;
+        };
+
+        // A generated burst's bytes are a pure function of the phase's
+        // generator identity, the burst index and the fill length, so
+        // it keys on those and a hit skips the operand fill too.
+        if (memo && generated_supply) {
+            key_buf.clear();
+            appendU64(key_buf, ctx_digest);
+            appendU64(key_buf, kGeneratedBurstGrainTag);
+            appendU64(key_buf, static_cast<uint64_t>(burst));
+            appendU64(key_buf, static_cast<uint64_t>(bi));
+            key_buf.insert(key_buf.end(), gen_identity.begin(),
+                           gen_identity.end());
+            if (probe())
+                return;
+        }
 
         // Borrow pooled scratch when a pool is configured; otherwise
         // construct the burst's working set locally. Pooled reuse is
@@ -297,21 +371,9 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
         supply.fillSerial(bi, scratch.a.data(), burst * a_len);
         supply.fillParallel(bi, scratch.b.data(), burst * b_len);
 
-        BurstResult &out = bursts[bi];
-
-        // Burst grain: a burst is a pure function of the machine
-        // context and its operand window bytes (accumulators reset
-        // between bursts and phase runs never read the tile's float
-        // outputs), so identical content — im2col-overlapping conv
-        // windows, re-sampled phases — skips the tile entirely. The
-        // fill above still runs: the key IS the operand bytes. A hit
-        // copies bytes a prior identical computation produced, so
-        // results stay bit-identical; only WHICH bursts hit can vary
-        // with thread interleaving, which is why hit counts are
-        // provenance, never fingerprint.
-        thread_local std::vector<unsigned char> key_buf;
-        uint64_t burst_hash = 0;
-        if (memo) {
+        // A trace-backed burst has no generator behind it: its bytes
+        // are its identity, so the key holds them verbatim.
+        if (memo && !generated_supply) {
             key_buf.clear();
             appendU64(key_buf, ctx_digest);
             appendU64(key_buf, kBurstGrainTag);
@@ -328,23 +390,8 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
                             burst * a_len * sizeof(BFloat16),
                         scratch.b.data(),
                         burst * b_len * sizeof(BFloat16));
-            Fnv64 h;
-            h.addBytes(key_buf.data(), key_buf.size());
-            burst_hash = h.value();
-
-            BurstMemoValue v;
-            if (memo->lookup(burst_hash, key_buf.data(),
-                             key_buf.size(), &v, sizeof(v))) {
-                out.cycles = v.cycles;
-                out.peStats = v.peStats;
-                out.serialStats = v.serialStats;
-                out.parallelStats = v.parallelStats;
-                out.memoHit = true;
-                g_phaseBursts.add();
-                g_burstSeconds.observe(
-                    static_cast<double>(now_ns() - burst_t0) * 1e-9);
+            if (probe())
                 return;
-            }
         }
 
         for (size_t s = 0; s < burst; ++s) {

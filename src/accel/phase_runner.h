@@ -68,10 +68,14 @@ struct PhaseRunConfig
      * disables); tests install private instances. Two grains apply:
      * generator-backed phases cache their whole result keyed on
      * (config digest, plan, profiles, seed), and every phase caches
-     * per-burst (cycles, stats) keyed on (config digest, operand
-     * window bytes). Both are exact by construction — cached values
-     * are byte copies of the identical computation — so memo-on and
-     * memo-off runs are bit-identical.
+     * per-burst (cycles, stats). A generator-backed burst keys on
+     * what generates its bytes — (config digest, burst steps, window
+     * widths, seed, burst index, both profiles), exactly the inputs
+     * of GeneratorSlabSupply's fills — so a hit skips the fill too; a
+     * trace-backed burst keys on its operand window bytes. Both are
+     * exact by construction — cached values are byte copies of the
+     * identical computation — so memo-on and memo-off runs are
+     * bit-identical.
      */
     SimMemo *memo = nullptr;
     /** False forces the unmemoized path regardless of @ref memo. */

@@ -1,7 +1,9 @@
 #include "sim/sim_memo.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -26,8 +28,9 @@ FPRAKER_METRIC_GAUGE(g_entries, "memo.entries",
  * Stripe count for a budget: enough stripes to keep lock contention
  * off the simulation's critical path, but never so many that a
  * stripe's budget share drops below one realistic burst entry
- * (~8-64 KiB) — a tiny test budget runs single-striped so eviction
- * still admits entries instead of rejecting everything.
+ * (~0.4 KiB keyed by generator identity, ~8 KiB by trace bytes) — a
+ * tiny test budget runs single-striped so eviction still admits
+ * entries instead of rejecting everything.
  */
 size_t
 stripesFor(size_t budget)
@@ -40,7 +43,31 @@ stripesFor(size_t budget)
     return n;
 }
 
+/**
+ * Bytes an allocator chunk serving an @p n byte request occupies: an
+ * 8 B header, 16 B granularity and a 32 B minimum, as in glibc malloc.
+ */
+constexpr uint64_t
+heapChunk(uint64_t n)
+{
+    return std::max<uint64_t>(32, (n + 8 + 15) & ~uint64_t{15});
+}
+
 } // namespace
+
+uint64_t
+SimMemo::entryCost(size_t keyLen, size_t valueLen)
+{
+    // The LRU list node holds the Entry between two links; the index
+    // node holds a next link and the (hash, iterator) pair, plus one
+    // bucket pointer per entry at the map's load factor of 1.
+    constexpr uint64_t kListNode = sizeof(Entry) + 2 * sizeof(void *);
+    constexpr uint64_t kIndexNode =
+        sizeof(void *) +
+        sizeof(std::pair<const uint64_t, std::list<Entry>::iterator>);
+    return heapChunk(keyLen + valueLen) + heapChunk(kListNode) +
+           heapChunk(kIndexNode) + sizeof(void *);
+}
 
 SimMemo::SimMemo(size_t budgetBytes)
     : budget_(budgetBytes), stripes_(stripesFor(budgetBytes))
@@ -68,9 +95,9 @@ SimMemo::lookup(uint64_t hash, const void *key, size_t keyLen,
             Entry &e = *it->second;
             // Exact by construction: the full key bytes must match
             // (a 64-bit collision is a miss, never a wrong value).
-            if (e.key.size() == keyLen && e.value.size() == valueLen &&
-                std::memcmp(e.key.data(), key, keyLen) == 0) {
-                std::memcpy(value, e.value.data(), valueLen);
+            if (e.keyLen == keyLen && e.valueLen == valueLen &&
+                std::memcmp(e.bytes.get(), key, keyLen) == 0) {
+                std::memcpy(value, e.bytes.get() + keyLen, valueLen);
                 s.lru.splice(s.lru.begin(), s.lru, it->second);
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 g_hits.add();
@@ -87,7 +114,7 @@ void
 SimMemo::insert(uint64_t hash, const void *key, size_t keyLen,
                 const void *value, size_t valueLen)
 {
-    const uint64_t cost = keyLen + valueLen + kEntryOverhead;
+    const uint64_t cost = entryCost(keyLen, valueLen);
     if (cost > stripeBudget_)
         return; // Larger than a whole stripe share: never cacheable.
 
@@ -98,8 +125,7 @@ SimMemo::insert(uint64_t hash, const void *key, size_t keyLen,
 
     while (s.bytes + cost > stripeBudget_ && !s.lru.empty()) {
         Entry &tail = s.lru.back();
-        const uint64_t freed =
-            tail.key.size() + tail.value.size() + kEntryOverhead;
+        const uint64_t freed = entryCost(tail.keyLen, tail.valueLen);
         s.bytes -= freed;
         s.index.erase(tail.hash);
         s.lru.pop_back();
@@ -111,10 +137,11 @@ SimMemo::insert(uint64_t hash, const void *key, size_t keyLen,
 
     Entry e;
     e.hash = hash;
-    const unsigned char *kp = static_cast<const unsigned char *>(key);
-    const unsigned char *vp = static_cast<const unsigned char *>(value);
-    e.key.assign(kp, kp + keyLen);
-    e.value.assign(vp, vp + valueLen);
+    e.keyLen = keyLen;
+    e.valueLen = valueLen;
+    e.bytes.reset(new unsigned char[keyLen + valueLen]);
+    std::memcpy(e.bytes.get(), key, keyLen);
+    std::memcpy(e.bytes.get() + keyLen, value, valueLen);
     s.lru.push_front(std::move(e));
     s.index.emplace(hash, s.lru.begin());
     s.bytes += cost;

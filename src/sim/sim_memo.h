@@ -10,7 +10,16 @@
  * re-simulating identical phases) repeats the exact same simulation.
  * SimMemo turns that repetition into lookups: a thread-safe,
  * striped-lock, byte-budgeted LRU keyed by FNV-1a over the full key
- * bytes (config digest ‖ operand bytes).
+ * bytes (config digest ‖ grain tag ‖ content).
+ *
+ * The content is whatever determines the operand bytes. A
+ * generator-backed burst keys on its generator's inputs — burst
+ * steps, window widths, base seed, burst index and both value
+ * profiles, ~170 B — because GeneratorSlabSupply's fills are a pure
+ * function of exactly these, so equal keys mean equal bytes and a hit
+ * skips the fill as well as the tile. A trace-backed burst has no
+ * generator behind it and keys on its operand bytes verbatim (~4-8
+ * KiB). The phase runner (accel/phase_runner.cpp) builds both.
  *
  * Exact by construction: every entry stores its complete key bytes and
  * a lookup memcmp-verifies them, so a hash collision is a miss, never
@@ -31,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -48,7 +58,7 @@ class SimMemo
         uint64_t misses = 0;     //!< Lookups that found nothing usable.
         uint64_t insertions = 0;
         uint64_t evictions = 0;  //!< Entries displaced by the budget.
-        uint64_t bytes = 0;      //!< Resident key+value+overhead bytes.
+        uint64_t bytes = 0;      //!< Resident heap bytes (entryCost).
         uint64_t entries = 0;
     };
 
@@ -68,7 +78,9 @@ class SimMemo
 
     /**
      * Insert a (key, value) pair, evicting least-recently-used entries
-     * until the stripe fits its budget share. An entry larger than the
+     * until the stripe fits its budget share. An entry is charged its
+     * real heap footprint: one key+value block plus its list and
+     * index nodes, each as an allocator chunk. An entry larger than the
      * share, or a hash already present, is skipped (the present entry
      * was verified usable or will keep missing — either way correct).
      */
@@ -90,12 +102,14 @@ class SimMemo
     struct Entry
     {
         uint64_t hash = 0;
-        std::vector<unsigned char> key;
-        std::vector<unsigned char> value;
+        size_t keyLen = 0;
+        size_t valueLen = 0;
+        /** Key bytes, then value bytes: one allocation per entry. */
+        std::unique_ptr<unsigned char[]> bytes;
     };
 
-    /** Fixed per-entry accounting overhead (map node, list node). */
-    static constexpr uint64_t kEntryOverhead = 64;
+    /** Heap bytes one entry holds, nodes and allocator chunks included. */
+    static uint64_t entryCost(size_t keyLen, size_t valueLen);
 
     struct Stripe
     {

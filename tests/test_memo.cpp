@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the PR 9 memoization grains: the whole-bf16 ValueLut
+ * Tests for the memoization grains: the whole-bf16 ValueLut
  * differential against TermEncoder over the full 16-bit domain,
  * SimMemo's exact-by-construction cache behaviors (key verification,
- * budget admission, LRU eviction), and phase-runner bit-identity with
- * the memo off, cold, warm, and evicting — at 1, 2, and 8 threads.
+ * budget admission, LRU eviction), phase-runner bit-identity with
+ * the memo off, cold, warm, and evicting — at 1, 2, and 8 threads —
+ * and the generator-identity burst keys: shared leading bursts across
+ * sample budgets, and a miss whenever any generator input changes.
  */
 
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,8 +131,9 @@ TEST(SimMemo, OversizedEntryNeverCached)
 
 TEST(SimMemo, LruEvictsOldestAndRespectsBudget)
 {
-    // Small budget -> a single stripe; entries cost ~96 bytes each, so
-    // the table holds a handful and must evict in LRU order.
+    // Small budget -> a single stripe; entries cost ~136 bytes each
+    // (allocator chunks and nodes included), so the table holds a
+    // handful and must evict in LRU order.
     SimMemo memo(512);
     uint64_t got = 0;
     auto put = [&](uint64_t i) {
@@ -301,22 +306,169 @@ TEST(PhaseMemo, EvictionUnderTinyBudgetStaysBitIdentical)
     GeneratorSlabSupply supply(plan.serialProfile, plan.parallelProfile,
                                plan.baseSeed);
 
-    // A budget holding roughly one burst entry: every insert evicts
-    // the previous burst, only the last one can ever hit, and the
+    // Budgets holding roughly one trace-keyed burst entry (its key is
+    // the ~4 KiB operand window) or two generator-keyed entries
+    // (~0.4 KiB each): inserts keep evicting earlier bursts, and the
     // results must still be bit-identical to the unmemoized run.
-    SimMemo memo(8u << 10);
+    struct Case
+    {
+        const char *name;
+        const SlabSupply *supply;
+        size_t budget;
+    };
+    for (const Case &c : {Case{"trace", &supply, 8u << 10},
+                          Case{"generator", nullptr, 1u << 10}}) {
+        SimMemo memo(c.budget);
+        PhaseRunConfig cfg = basePhaseConfig();
+        cfg.memo = &memo;
+        cfg.supply = c.supply;
+        for (int pass = 0; pass < 3; ++pass) {
+            PhaseRunResult got = runPhaseSample(
+                model, layer, TrainingOp::Forward, 0.5, cfg);
+            expectPhaseEqual(got, ref,
+                             (std::string(c.name) + " pass " +
+                              std::to_string(pass))
+                                 .c_str());
+        }
+        SimMemo::Stats st = memo.stats();
+        EXPECT_GT(st.evictions, 0u) << c.name;
+        EXPECT_LE(memo.bytesHeld(), memo.budget()) << c.name;
+    }
+}
+
+// ---------------------------------- generator-identity burst keys
+
+TEST(PhaseMemo, GeneratedBudgetsShareLeadingFullBursts)
+{
+    const ModelInfo &model = findModel("ResNet18-Q");
+    const LayerShape &layer = model.layers.front();
+
+    auto memoOff = [&](int sample_steps) {
+        PhaseRunConfig off = basePhaseConfig();
+        off.sampleSteps = sample_steps;
+        off.memoize = false;
+        return runPhaseSample(model, layer, TrainingOp::Forward, 0.5,
+                              off);
+    };
+    const PhaseRunResult ref96 = memoOff(96);
+    const PhaseRunResult ref112 = memoOff(112);
+    const PhaseRunResult ref104 = memoOff(104);
+
+    for (int threads : {1, 2, 8}) {
+        const std::string t = " t=" + std::to_string(threads);
+        SimEngine engine(threads);
+        SimMemo memo(8u << 20);
+        PhaseRunConfig cfg = basePhaseConfig();
+        cfg.engine = &engine;
+        cfg.memo = &memo;
+        const PhasePlan plan = planPhaseSample(
+            model, layer, TrainingOp::Forward, 0.5, cfg);
+        ASSERT_EQ(plan.stepsPerOutput, 16);
+        ASSERT_EQ(plan.bursts, 6u);
+
+        // 96 steps: six full bursts, all cold (plus the phase miss).
+        PhaseRunResult r96 = runPhaseSample(
+            model, layer, TrainingOp::Forward, 0.5, cfg);
+        expectPhaseEqual(r96, ref96, ("96" + t).c_str());
+        EXPECT_EQ(r96.memoHits, 0u) << t;
+        EXPECT_EQ(r96.memoMisses, 7u) << t;
+
+        // 112 steps: another phase key, but bursts 0-5 are the same
+        // generator windows, so exactly those six hit; burst 6 and the
+        // phase miss.
+        cfg.sampleSteps = 112;
+        PhaseRunResult r112 = runPhaseSample(
+            model, layer, TrainingOp::Forward, 0.5, cfg);
+        expectPhaseEqual(r112, ref112, ("112" + t).c_str());
+        EXPECT_EQ(r112.memoHits, 6u) << t;
+        EXPECT_EQ(r112.memoMisses, 2u) << t;
+
+        // 104 steps: the short last burst (8 steps) must not match
+        // 112's full burst 6 — its fill length is part of the key.
+        cfg.sampleSteps = 104;
+        PhaseRunResult r104 = runPhaseSample(
+            model, layer, TrainingOp::Forward, 0.5, cfg);
+        expectPhaseEqual(r104, ref104, ("104" + t).c_str());
+        EXPECT_EQ(r104.memoHits, 6u) << t;
+        EXPECT_EQ(r104.memoMisses, 2u) << t;
+    }
+}
+
+/** @p model with @p kind's profile replaced by the constant @p p. */
+ModelInfo
+withProfile(ModelInfo model, TensorKind kind, const ValueProfile &p)
+{
+    const TensorProfile constant = TensorProfile::constant(p);
+    switch (kind) {
+      case TensorKind::Activation:
+        model.profile.activation = constant;
+        break;
+      case TensorKind::Weight:
+        model.profile.weight = constant;
+        break;
+      case TensorKind::Gradient:
+        model.profile.gradient = constant;
+        break;
+    }
+    return model;
+}
+
+TEST(PhaseMemo, GeneratedKeysCoverEveryProfileFieldAndTheSeed)
+{
+    const ModelInfo &zoo = findModel("ResNet18-Q");
+    const LayerShape &layer = zoo.layers.front();
+
+    SimMemo memo(8u << 20);
     PhaseRunConfig cfg = basePhaseConfig();
     cfg.memo = &memo;
-    cfg.supply = &supply;
-    for (int pass = 0; pass < 3; ++pass) {
-        PhaseRunResult got = runPhaseSample(
-            model, layer, TrainingOp::Forward, 0.5, cfg);
-        expectPhaseEqual(got, ref,
-                         ("pass " + std::to_string(pass)).c_str());
+    cfg.autoSerialSide = false; // Nudges must not flip the sides.
+    const PhasePlan plan = planPhaseSample(
+        zoo, layer, TrainingOp::Forward, 0.5, cfg);
+    // Pin both operands to constant profiles so one field can move
+    // at a time.
+    const ModelInfo base =
+        withProfile(withProfile(zoo, plan.serialSide, plan.serialProfile),
+                    plan.parallelSide, plan.parallelProfile);
+    runPhaseSample(base, layer, TrainingOp::Forward, 0.5, cfg);
+    ASSERT_EQ(runPhaseSample(base, layer, TrainingOp::Forward, 0.5, cfg)
+                  .memoHits,
+              1u);
+
+    // One nudge per ValueProfile field; a new field needs its own.
+    static_assert(sizeof(ValueProfile) == 7 * sizeof(uint64_t),
+                  "nudge the new ValueProfile field below");
+    auto unit = [](double &x) { x = x > 0.5 ? x - 0.0625 : x + 0.0625; };
+    const std::vector<std::function<void(ValueProfile &)>> nudges = {
+        [&](ValueProfile &p) { unit(p.sparsity); },
+        [](ValueProfile &p) { p.zeroClusterLen += 1.0; },
+        [](ValueProfile &p) { p.expMu += 0.5; },
+        [](ValueProfile &p) { p.expSigma += 0.25; },
+        [&](ValueProfile &p) { unit(p.expCorr); },
+        [](ValueProfile &p) {
+            p.mantissaBits = p.mantissaBits == 7 ? 6 : 7;
+        },
+        [&](ValueProfile &p) { unit(p.bitDensity); },
+    };
+    for (bool serial : {true, false}) {
+        for (size_t f = 0; f < nudges.size(); ++f) {
+            ValueProfile p =
+                serial ? plan.serialProfile : plan.parallelProfile;
+            nudges[f](p);
+            const ModelInfo m = withProfile(
+                base, serial ? plan.serialSide : plan.parallelSide, p);
+            PhaseRunResult r = runPhaseSample(
+                m, layer, TrainingOp::Forward, 0.5, cfg);
+            EXPECT_EQ(r.memoHits, 0u)
+                << (serial ? "serial" : "parallel") << " field " << f;
+        }
     }
-    SimMemo::Stats st = memo.stats();
-    EXPECT_GT(st.evictions, 0u);
-    EXPECT_LE(memo.bytesHeld(), memo.budget());
+
+    PhaseRunConfig reseeded = cfg;
+    reseeded.seed += 1;
+    EXPECT_EQ(runPhaseSample(base, layer, TrainingOp::Forward, 0.5,
+                             reseeded)
+                  .memoHits,
+              0u);
 }
 
 TEST(PhaseMemo, MemoizeFalseBypassesEvenAnInstalledMemo)
