@@ -28,7 +28,6 @@ FPRakerColumn::FPRakerColumn(const PeConfig &cfg, int num_pes)
     pes_.reserve(static_cast<size_t>(numPes_));
     for (int r = 0; r < numPes_; ++r)
         pes_.emplace_back(cfg_.acc);
-    retireCycle_.resize(static_cast<size_t>(numPes_));
 }
 
 void
@@ -320,28 +319,6 @@ FPRakerColumn::beginSetDecoded(const BFloat16 *a,
 
     setCycles_ = 0;
     inSet_ = true;
-
-    // The summary bits are a pure fast path (they are only consulted to
-    // skip work whose outcome is already determined), so tracing simply
-    // disables them to keep the per-cycle trace stream exact. (The
-    // masks bound a column at 64 PEs; the constructor enforces it.)
-    retiredPeMask_ = 0;
-    retireSkip_ = !trace_;
-    if (retireSkip_ && liveMask_)
-        refreshRetired();
-}
-
-void
-FPRakerColumn::refreshRetired()
-{
-    for (int r = 0; r < numPes_; ++r) {
-        if ((retiredPeMask_ >> r) & 1u)
-            continue;
-        if ((liveMask_ & ~pes_[static_cast<size_t>(r)].obMask) == 0) {
-            retiredPeMask_ |= 1ull << r;
-            retireCycle_[static_cast<size_t>(r)] = setCycles_;
-        }
-    }
 }
 
 void
@@ -370,7 +347,6 @@ FPRakerColumn::settleLane(int l, int thr)
                 // this pair is guaranteed out-of-bounds too.
                 pe.obMask |= bit;
                 obPes_[l] |= 1ull << r;
-                settleDirty_ = true;
                 pe.stats.termsObSkipped +=
                     static_cast<uint64_t>(ts.size() - s.cursor);
             } else {
@@ -384,7 +360,6 @@ FPRakerColumn::settleLane(int l, int thr)
             // every PE in the column has flagged the lane.
             s.cursor = ts.size();
             liveMask_ &= ~bit;
-            settleDirty_ = true;
             return;
         }
         ++s.cursor;
@@ -394,7 +369,6 @@ FPRakerColumn::settleLane(int l, int thr)
         firedPes_[l] = 0;
         if (s.cursor >= ts.size()) {
             liveMask_ &= ~bit;
-            settleDirty_ = true;
             return;
         }
         const Term &t = ts[s.cursor];
@@ -411,15 +385,8 @@ FPRakerColumn::settle(uint32_t mask)
         return;
     const int thr =
         cfg_.skipOutOfBounds ? cfg_.effectiveObThreshold() : INT_MAX;
-    settleDirty_ = false;
     for (uint32_t m = mask; m; m &= m - 1)
         settleLane(std::countr_zero(m), thr);
-    // Draining may have retired further lanes (obMask grew, liveMask
-    // shrank); fold any PE that just lost its last live lane into the
-    // summary mask so the next cycle skips it. Cursor-only advances
-    // leave the retirement state untouched.
-    if (retireSkip_ && settleDirty_ && liveMask_)
-        refreshRetired();
 }
 
 bool
@@ -474,8 +441,6 @@ FPRakerColumn::stepCycle()
 
     const bool tracing = static_cast<bool>(trace_);
     for (int r = 0; r < numPes_; ++r) {
-        if ((retiredPeMask_ >> r) & 1u)
-            continue; // Deferred no-term accounting in finishSet.
         PeState &pe = pes_[r];
         const int acc_exp = pe.acc.chunkRegister().exponent();
         const uint32_t pend = liveMask_ & ~pe.firedMask & ~pe.obMask;
@@ -486,29 +451,6 @@ FPRakerColumn::stepCycle()
             pe.stats.laneNoTerm += static_cast<uint64_t>(activeLanes_);
             if (tracing)
                 emitTrace(r, acc_exp, 0, 0, 0, nullptr);
-            continue;
-        }
-
-        if (!tracing && (pend & (pend - 1)) == 0) {
-            // Single pending lane (the common tail-cycle shape): it is
-            // its own base shift, so it always fires, the adder tree
-            // reduces to the one contribution, and the stats collapse
-            // to constants — bit-identical to the general path below.
-            const int l = std::countr_zero(pend);
-            firedPes_[l] |= 1ull << r;
-            pe.firedMask |= pend;
-            const bool neg =
-                (((pe.prodNegMask ^ negMask) >> l) & 1u) != 0;
-            if (pe.bSig[l] != 0)
-                pe.acc.chunkRegister().addValue(
-                    neg, pe.abExp[l] - shiftOf[l] - 7, pe.bSig[l]);
-            pe.stats.laneUseful += 1;
-            pe.stats.termsProcessed += 1;
-            pe.stats.laneNoTerm +=
-                static_cast<uint64_t>(activeLanes_) - 1;
-            firedUnion |= pend;
-            if (pe.acc.chunkRegister().exponent() != acc_exp)
-                expMoved = true;
             continue;
         }
 
@@ -601,17 +543,6 @@ FPRakerColumn::finishSet()
     while (busy())
         stepCycle();
 
-    // Settle the deferred accounting of skipped PEs: a retired PE would
-    // have taken the no-term path on every remaining cycle.
-    for (uint64_t m = retiredPeMask_; m; m &= m - 1) {
-        const int r = std::countr_zero(m);
-        pes_[static_cast<size_t>(r)].stats.laneNoTerm +=
-            static_cast<uint64_t>(setCycles_ -
-                                  retireCycle_[static_cast<size_t>(r)]) *
-            static_cast<uint64_t>(activeLanes_);
-    }
-    retiredPeMask_ = 0;
-
     int cycles = setCycles_;
     const uint64_t floor_lanes =
         cycles < cfg_.exponentFloor
@@ -633,35 +564,12 @@ int
 FPRakerColumn::dot(const BFloat16 *a, const BFloat16 *b, int b_stride,
                    size_t len)
 {
-    const int lanes = cfg_.lanes;
-    // Sets per decode batch: the operand decode for a whole chunk runs
-    // as one tight loop before any set simulates (amortizing the
-    // decode across the row dimension), while the decoded rows stay
-    // small enough to remain cache-resident.
-    constexpr size_t kChunkSets = 32;
-    const size_t rows = static_cast<size_t>(numPes_);
-    decodeScratch_.resize(kChunkSets * rows);
-    int active[kChunkSets];
+    const size_t lanes = static_cast<size_t>(cfg_.lanes);
     int cycles = 0;
-    size_t i = 0;
-    while (i < len) {
-        const size_t chunk_begin = i;
-        size_t nsets = 0;
-        for (; nsets < kChunkSets && i < len; ++nsets) {
-            // Only the final set of the dot can be ragged.
-            const int act = static_cast<int>(std::min<size_t>(
-                static_cast<size_t>(lanes), len - i));
-            decodeBRows(b + i, b_stride, numPes_, act,
-                        decodeScratch_.data() + nsets * rows);
-            active[nsets] = act;
-            i += static_cast<size_t>(act);
-        }
-        for (size_t s = 0; s < nsets; ++s) {
-            beginSetDecoded(
-                a + chunk_begin + s * static_cast<size_t>(lanes),
-                decodeScratch_.data() + s * rows, active[s]);
-            cycles += finishSet();
-        }
+    for (size_t i = 0; i < len; i += lanes) {
+        // Only the final set of the dot can be ragged.
+        const int act = static_cast<int>(std::min(lanes, len - i));
+        cycles += runSet(a + i, b + i, b_stride, act);
     }
     return cycles;
 }
@@ -743,10 +651,10 @@ FPRakerPe::dot(const std::vector<BFloat16> &a, const std::vector<BFloat16> &b)
 {
     panic_if(a.size() != b.size(), "dot of mismatched lengths %zu vs %zu",
              a.size(), b.size());
-    // Batched multi-set walk; ragged tails run as masked sets (padded
-    // lanes would be architecturally absent, so they must not show up
-    // in cycles or statistics). A single-PE column reads its B stream
-    // at the same flat offsets as A, so the row stride is irrelevant.
+    // Ragged tails run as masked sets (padded lanes would be
+    // architecturally absent, so they must not show up in cycles or
+    // statistics). A single-PE column reads its B stream at the same
+    // flat offsets as A, so the row stride is irrelevant.
     return column_.dot(a.data(), b.data(), 0, a.size());
 }
 

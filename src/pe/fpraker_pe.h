@@ -32,13 +32,17 @@
  *
  * Implementation notes (the simulator, not the hardware): the model is
  * bit-identical to the seed algorithm (ReferenceColumn in src/sim/) but
- * restructured for host speed. Lane term streams are read-only pointers
- * into the shared TermLut instead of per-set encoder runs; fired /
- * out-of-bounds flags are per-PE bitmasks; and the encoder-feedback
+ * restructured for host speed. Operands decode through the ValueLut
+ * (SSE2 for full 8-lane sets); lane term streams are read-only pointers
+ * into the shared TermLut instead of per-set encoder runs, with each
+ * lane's pending term cached; fired / out-of-bounds flags are per-PE
+ * bitmasks, mirrored per lane as PE bitmasks; and the encoder-feedback
  * fixpoint (settle) drains each lane independently instead of
  * rescanning every (PE, lane) pair per iteration — legal because the
  * accumulator exponents are constant between processing cycles, which
- * makes lanes independent inside a settle pass.
+ * makes lanes independent inside a settle pass. Every PE steps every
+ * cycle through the one base-select / adder-tree path; a trace
+ * callback only observes that path, it never selects another.
  */
 
 #ifndef FPRAKER_PE_FPRAKER_PE_H
@@ -156,11 +160,8 @@ class FPRakerColumn
     /**
      * Accumulate a full dot product for every PE of the column:
      * config().lanes pairs per set, PE r's parallel operands at
-     * b[r * b_stride + i]. The batched walk decodes the B operands a
-     * whole chunk of sets at a time (amortizing the operand decode
-     * across the row dimension) before simulating the sets; ragged
-     * tails run as masked sets. Bit-identical to per-set runSet calls.
-     * @return total cycles.
+     * b[r * b_stride + i], one runSet per set; a ragged tail runs as
+     * a masked set. @return total cycles.
      */
     int dot(const BFloat16 *a, const BFloat16 *b, int b_stride,
             size_t len);
@@ -238,21 +239,11 @@ class FPRakerColumn
     void emitTrace(int r, int acc_exp, int base, uint32_t pend,
                    uint32_t fire, const int *k_of) const;
 
-    /**
-     * Re-derive the per-PE "all lanes retired" summary bits after
-     * obMask / liveMask changed. A PE whose still-live lanes are all
-     * in its obMask can never fire again this set (liveMask only
-     * shrinks, obMask only grows), so stepCycle and settleLane skip it
-     * and finishSet charges its remaining no-term lane-cycles in one
-     * deferred multiply — bit-identical to the per-cycle charges.
-     */
-    void refreshRetired();
-
     PeConfig cfg_;
     int numPes_;
     const TermLut *lut_;
     const ValueLut *vlut_; //!< Whole-bf16 decode table (value memo).
-    std::vector<DecodedBRow> decodeScratch_; //!< beginSet / dot rows.
+    std::vector<DecodedBRow> decodeScratch_; //!< beginSet's rows.
     LaneStream streams_[kMaxLanes];
     /**
      * Cursor-term cache: the shift and sign of each live lane's
@@ -272,12 +263,8 @@ class FPRakerColumn
     uint64_t obPes_[kMaxLanes] = {};
     uint64_t peAll_ = 0; //!< Bit per PE.
     std::vector<PeState> pes_;
-    std::vector<int> retireCycle_;   //!< Cycle a PE fully retired at.
     std::function<void(const PeCycleTrace &)> trace_;
     uint32_t liveMask_ = 0; //!< Lanes whose stream is not exhausted.
-    uint64_t retiredPeMask_ = 0; //!< PEs with every live lane retired.
-    bool retireSkip_ = false;    //!< Summary-bit skip enabled this set.
-    bool settleDirty_ = false;   //!< Settle changed obMask / liveMask.
     int activeLanes_ = 0;   //!< Lanes carrying real operands this set.
     int setCycles_ = 0;
     bool inSet_ = false;

@@ -1,7 +1,6 @@
 #include "tile/tile.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.h"
 
@@ -62,73 +61,28 @@ Tile::run(const TileStepView *steps, size_t n_steps, SimEngine *engine)
     // consume the decoded form — bit-identical either way.
     cycleScratch_.resize(cols * n_steps);
     const size_t rows = static_cast<size_t>(cfg_.rows);
-    if (engine && engine->threads() > 1) {
-        // Sharded: pre-decode the whole batch (itself sharded over
-        // the steps), then the columns shard over the engine.
-        decodedB_.resize(n_steps * rows);
-        engine->parallelFor(n_steps, [&](size_t s) {
-            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
-                                       lanes,
-                                       decodedB_.data() + s * rows);
-        });
-        engine->parallelFor(cols, [&](size_t c) {
-            FPRakerColumn &col = *columns_[c];
-            int *cycles = cycleScratch_.data() + c * n_steps;
-            for (size_t s = 0; s < n_steps; ++s) {
-                col.beginSetDecoded(steps[s].a + c * lanes,
-                                    decodedB_.data() + s * rows);
-                cycles[s] = col.finishSet();
-            }
-        });
-    } else if (cols <= 64) {
-        // Serial fused sweep: step-major, so one step's decoded rows
-        // feed every column while still hot, and the per-column settle
-        // fixpoints advance together under one busy mask that drops
-        // each column the cycle it settles. Columns never share
-        // mutable state, so any interleaving of their stepCycle calls
-        // is bit-identical to the column-major walk.
-        decodedB_.resize(rows);
+    decodedB_.resize(n_steps * rows);
+    auto decode_step = [&](size_t s) {
+        FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows, lanes,
+                                   decodedB_.data() + s * rows);
+    };
+    auto walk_column = [&](size_t c) {
+        FPRakerColumn &col = *columns_[c];
+        int *cycles = cycleScratch_.data() + c * n_steps;
         for (size_t s = 0; s < n_steps; ++s) {
-            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
-                                       lanes, decodedB_.data());
-            uint64_t busy = 0;
-            for (size_t c = 0; c < cols; ++c) {
-                columns_[c]->beginSetDecoded(steps[s].a + c * lanes,
-                                             decodedB_.data());
-                if (columns_[c]->busy())
-                    busy |= uint64_t(1) << c;
-            }
-            while (busy) {
-                for (uint64_t m = busy; m; m &= m - 1) {
-                    const size_t c =
-                        static_cast<size_t>(std::countr_zero(m));
-                    FPRakerColumn &col = *columns_[c];
-                    col.stepCycle();
-                    if (!col.busy())
-                        busy &= ~(uint64_t(1) << c);
-                }
-            }
-            for (size_t c = 0; c < cols; ++c)
-                cycleScratch_[c * n_steps + s] =
-                    columns_[c]->finishSet();
+            col.beginSetDecoded(steps[s].a + c * lanes,
+                                decodedB_.data() + s * rows);
+            cycles[s] = col.finishSet();
         }
+    };
+    if (engine && engine->threads() > 1) {
+        engine->parallelFor(n_steps, decode_step);
+        engine->parallelFor(cols, walk_column);
     } else {
-        // Tiles wider than the 64-column sweep mask keep the
-        // column-major walk (still sharing the decoded B rows).
-        decodedB_.resize(n_steps * rows);
         for (size_t s = 0; s < n_steps; ++s)
-            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
-                                       lanes,
-                                       decodedB_.data() + s * rows);
-        for (size_t c = 0; c < cols; ++c) {
-            FPRakerColumn &col = *columns_[c];
-            int *cycles = cycleScratch_.data() + c * n_steps;
-            for (size_t s = 0; s < n_steps; ++s) {
-                col.beginSetDecoded(steps[s].a + c * lanes,
-                                    decodedB_.data() + s * rows);
-                cycles[s] = col.finishSet();
-            }
-        }
+            decode_step(s);
+        for (size_t c = 0; c < cols; ++c)
+            walk_column(c);
     }
 
     // Phase B: replay the bounded-run-ahead recurrence over the cycle

@@ -149,7 +149,7 @@ class Tile
     std::vector<std::unique_ptr<FPRakerColumn>> columns_;
     //! Shared decoded B rows: the broadcast rows are identical for
     //! every column, so phase A decodes each step's rows once and all
-    //! columns consume the decoded form ([s * rows + r] when batched).
+    //! columns consume the decoded form, [s * rows + r].
     std::vector<FPRakerColumn::DecodedBRow> decodedB_;
     std::vector<int> cycleScratch_; //!< Phase-A cycles, [c * steps + s].
     // Phase-B recurrence scratch, members so repeated run() calls

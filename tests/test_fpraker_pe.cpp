@@ -13,6 +13,7 @@
 #include "numeric/reference.h"
 #include "pe/baseline_pe.h"
 #include "pe/fpraker_pe.h"
+#include "sim/reference_column.h"
 
 namespace fpraker {
 namespace {
@@ -423,6 +424,64 @@ TEST(FPRakerColumn, InterPeStallChargesEveryLane)
     for (int r = 0; r < 2; ++r) {
         EXPECT_EQ(col.stats(r).laneInterPe, 3u * 8u);
         EXPECT_EQ(col.stats(r).setCycles, 3u);
+    }
+}
+
+TEST(FPRakerColumn, TracedColumnMatchesUntraced)
+{
+    // A trace callback only observes: a traced column must run the
+    // same cycles, accumulator bits, and statistics as an untraced one
+    // and as the seed reference.
+    Rng rng(20108065);
+    for (int pes : {1, 3, 16}) {
+        PeConfig cfg;
+        cfg.obThreshold = 8; // retire lanes often
+        FPRakerColumn traced(cfg, pes);
+        FPRakerColumn plain(cfg, pes);
+        ReferenceColumn ref(cfg, pes);
+        size_t records = 0;
+        traced.setTraceCallback([&](const PeCycleTrace &tr) {
+            ASSERT_GE(tr.pe, 0);
+            ASSERT_LT(tr.pe, pes);
+            ++records;
+        });
+        for (int set = 0; set < 24; ++set) {
+            auto a = randomVector(rng, 8, 0.3, 3.0);
+            auto b = randomVector(rng, static_cast<size_t>(pes) * 8, 0.3,
+                                  3.0);
+            const int c_traced = traced.runSet(a.data(), b.data(), 8);
+            ASSERT_EQ(c_traced, plain.runSet(a.data(), b.data(), 8))
+                << "pes=" << pes << " set=" << set;
+            ASSERT_EQ(c_traced, ref.runSet(a.data(), b.data(), 8))
+                << "pes=" << pes << " set=" << set;
+        }
+        // Every processing cycle traces every PE of the column.
+        EXPECT_GT(records, 0u) << "pes=" << pes;
+        EXPECT_EQ(records % static_cast<size_t>(pes), 0u)
+            << "pes=" << pes;
+        for (int r = 0; r < pes; ++r) {
+            const double bits =
+                traced.accumulator(r).chunkRegister().readDouble();
+            ASSERT_EQ(bits,
+                      plain.accumulator(r).chunkRegister().readDouble())
+                << "pes=" << pes << " pe=" << r;
+            ASSERT_EQ(bits, ref.accumulator(r).chunkRegister().readDouble())
+                << "pes=" << pes << " pe=" << r;
+            for (const PeStats *other : {&plain.stats(r), &ref.stats(r)}) {
+                const PeStats &s = traced.stats(r);
+                EXPECT_EQ(s.laneUseful, other->laneUseful);
+                EXPECT_EQ(s.laneNoTerm, other->laneNoTerm);
+                EXPECT_EQ(s.laneShiftRange, other->laneShiftRange);
+                EXPECT_EQ(s.laneExponent, other->laneExponent);
+                EXPECT_EQ(s.laneInterPe, other->laneInterPe);
+                EXPECT_EQ(s.setCycles, other->setCycles);
+                EXPECT_EQ(s.sets, other->sets);
+                EXPECT_EQ(s.macs, other->macs);
+                EXPECT_EQ(s.termsProcessed, other->termsProcessed);
+                EXPECT_EQ(s.termsZeroSkipped, other->termsZeroSkipped);
+                EXPECT_EQ(s.termsObSkipped, other->termsObSkipped);
+            }
+        }
     }
 }
 

@@ -172,9 +172,8 @@ expectStatsEqual(const PeStats &a, const PeStats &b, const char *what)
 /**
  * Single-pending-lane columns: sets where exactly one A lane is
  * nonzero (the lone lane carries a wild exponent, so it keeps draining
- * terms long after every other lane went idle on cycle one). This is
- * the degenerate busy-loop shape the fused tile sweep and the masked
- * retire path both special-case, so it must stay bit-identical to the
+ * terms long after every other lane went idle on cycle one), so most
+ * cycles fire a one-lane adder tree. It must stay bit-identical to the
  * seed reference in cycles, accumulator bits, and every stat counter.
  */
 TEST(DifferentialFuzz, SinglePendingLaneColumnsMatchReference)
@@ -216,11 +215,9 @@ TEST(DifferentialFuzz, SinglePendingLaneColumnsMatchReference)
 /**
  * Settle-skew tiles: column c's A vector carries c+1 live lanes with
  * an exponent spread that grows with c, so in any step each column's
- * settle fixpoint converges on a different iteration. The fused
- * serial sweep retires columns from its busy mask one by one (and the
- * sharded walk never sees the mask at all) — at 1, 2, and 8 threads
- * the cycles, outputs, and statistics must be bit-identical to the
- * seed reference tile.
+ * settle fixpoint converges on a different iteration. At 1, 2, and 8
+ * threads (serial and sharded column walks) the cycles, outputs, and
+ * statistics must be bit-identical to the seed reference tile.
  */
 TEST(DifferentialFuzz, SettleSkewTilesMatchReferenceAtAnyThreadCount)
 {
@@ -274,7 +271,7 @@ TEST(DifferentialFuzz, SettleSkewTilesMatchReferenceAtAnyThreadCount)
 }
 
 /**
- * The batched multi-set dot must be bit-identical to driving the same
+ * The multi-set dot must be bit-identical to driving the same
  * sets one runSet at a time — including a ragged final set, which runs
  * masked (padded lanes are architecturally absent, so they must not
  * appear in cycles or statistics). Full-set prefixes are additionally
@@ -286,8 +283,7 @@ TEST(DifferentialFuzz, BatchedDotMatchesPerSetReference)
     const FuzzCase stream_shape{0,  -1,  TermEncoding::Canonical,
                                 12, 64, 0.3, 3.0};
     for (int rows : {1, 2, 5}) {
-        // 37 full sets + a 5-lane ragged tail: crosses the 32-set
-        // decode-chunk boundary of dot() twice.
+        // 37 full sets + a 5-lane ragged tail.
         const size_t len = 8 * 37 + 5;
         const int stride = static_cast<int>(len);
         auto a = randomStream(rng, len, stream_shape);

@@ -60,8 +60,9 @@ TEST(ValueLut, FullDomainMatchesTermEncoder)
             for (int i = 0; i < want.size(); ++i)
                 ASSERT_TRUE((*e.stream)[i] == want[i])
                     << "bits " << bits << " term " << i;
-            if (want.size() > 0)
+            if (want.size() > 0) {
                 ASSERT_EQ(e.shift0, want[0].shift) << "bits " << bits;
+            }
         }
     }
 }

@@ -145,24 +145,24 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, ColumnParity, ::testing::Range(0, 8));
 
 /**
  * Wide-row parity: the Fig. 19/20 geometries put up to 16 PEs on one
- * serial-operand stream, which is where the per-PE "all lanes retired"
- * summary bit actually skips work (settle and stepCycle bypass retired
- * PEs, and their no-term stalls are charged in one deferred multiply).
- * Every cycle count, accumulator bit, and stat counter must still
+ * serial-operand stream, so a lane survives until every one of them
+ * flags it out-of-bounds and most PEs spend their tail cycles idle.
+ * 64 PEs is the column's limit (one bit per PE in the transposed
+ * masks). Every cycle count, accumulator bit, and stat counter must
  * match the seed reference exactly.
  */
 class WideRowParity : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(WideRowParity, RetirementSkipIsBitIdenticalToReference)
+TEST_P(WideRowParity, ObRetirementIsBitIdenticalToReference)
 {
     const int pes = GetParam();
     Rng rng(static_cast<uint64_t>(pes) * 40503 + 11);
     for (int trial = 0; trial < 4; ++trial) {
         PeConfig cfg;
         // Narrow accumulators + wide exponent spreads retire lanes
-        // aggressively, so the skip path dominates the run.
+        // aggressively, so OB-retired PEs dominate the run.
         cfg.obThreshold = static_cast<int>(rng.uniformInt(4, 10));
         cfg.acc.fracBits = static_cast<int>(rng.uniformInt(6, 12));
         double sparsity = rng.uniform(0.1, 0.5);
@@ -189,7 +189,7 @@ TEST_P(WideRowParity, RetirementSkipIsBitIdenticalToReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig19Geometries, WideRowParity,
-                         ::testing::Values(2, 4, 16, 32));
+                         ::testing::Values(2, 4, 16, 32, 64));
 
 TEST(WideRowParity, WideTileMatchesReferenceTile)
 {
