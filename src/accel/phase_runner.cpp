@@ -19,7 +19,7 @@ namespace fpraker {
 namespace {
 
 FPRAKER_METRIC_COUNTER(g_phaseRuns, "phase.runs",
-                       "phase samples simulated or memo-served");
+                       "phase samples run");
 FPRAKER_METRIC_COUNTER(g_phaseBursts, "phase.bursts",
                        "bursts executed (memo hits included)");
 FPRAKER_METRIC_COUNTER(g_phaseSteps, "phase.steps",
@@ -35,11 +35,10 @@ FPRAKER_METRIC_HISTOGRAM(g_burstSeconds, "phase.burst_seconds",
 //
 // Every memo key starts with a digest over the full simulated-machine
 // context (every TileConfig/PeConfig/AccumulatorConfig field plus the
-// effective accumulation depth) and a grain tag, so entries from
-// different machines or grains can never verify against each other.
+// effective accumulation depth) and a key-kind tag, so entries from
+// different machines or kinds can never verify against each other.
 
 constexpr uint64_t kBurstGrainTag = 0xb5b5b5b5'00000001ull;
-constexpr uint64_t kPhaseGrainTag = 0xb5b5b5b5'00000002ull;
 constexpr uint64_t kGeneratedBurstGrainTag = 0xb5b5b5b5'00000003ull;
 
 uint64_t
@@ -100,8 +99,8 @@ appendProfile(std::vector<unsigned char> &buf, const ValueProfile &p)
  * Identity of a generator-backed phase's operand streams: the window
  * widths plus everything GeneratorSlabSupply::fill* reads besides the
  * burst index and fill length — the base seed and both profiles,
- * serial then parallel. Built once per phase and appended by both the
- * phase grain and the burst grain, so the two keys cannot drift apart.
+ * serial then parallel. Built once per phase and appended to every
+ * generated burst's key.
  */
 std::vector<unsigned char>
 generatorIdentity(const PhasePlan &plan)
@@ -127,21 +126,6 @@ static_assert(std::is_trivially_copyable_v<BurstMemoValue> &&
                   sizeof(BurstMemoValue) ==
                       (1 + 11 + 3 + 3) * sizeof(uint64_t),
               "BurstMemoValue must be a packed POD (memo byte copies)");
-
-/** Cached whole-phase payload (generator-backed phases only). */
-struct PhaseMemoValue
-{
-    double avgCyclesPerStep = 0.0;
-    uint64_t steps = 0;
-    uint64_t serialSide = 0;
-    PeStats peStats;
-    TensorStats serialStats;
-    TensorStats parallelStats;
-};
-static_assert(std::is_trivially_copyable_v<PhaseMemoValue> &&
-                  sizeof(PhaseMemoValue) ==
-                      (3 + 11 + 3 + 3) * sizeof(uint64_t),
-              "PhaseMemoValue must be a packed POD (memo byte copies)");
 
 } // namespace
 
@@ -216,44 +200,12 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
     const uint64_t ctx_digest =
         memo ? tileContextDigest(cfg.tile, plan.stepsPerOutput) : 0;
 
-    // Phase grain: a generator-backed phase is a pure function of the
-    // machine context and the plan (profiles, seed, geometry) — its
-    // operand streams are synthesized from exactly these inputs — so
-    // the whole result memoizes without even generating the operands.
-    // Trace-backed phases (cfg.supply) are covered by the burst grain
-    // below instead: their content lives in the trace bytes.
+    // A generated burst keys on the phase's generator identity (built
+    // once here); a trace-backed burst keys on its operand bytes.
     const bool generated_supply = !cfg.supply;
-    std::vector<unsigned char> gen_identity;
-    std::vector<unsigned char> phase_key;
-    uint64_t phase_hash = 0;
-    if (memo && generated_supply) {
-        gen_identity = generatorIdentity(plan);
-        appendU64(phase_key, ctx_digest);
-        appendU64(phase_key, kPhaseGrainTag);
-        appendU64(phase_key, static_cast<uint64_t>(plan.sampleSteps));
-        appendU64(phase_key, static_cast<uint64_t>(plan.bursts));
-        appendU64(phase_key, static_cast<uint64_t>(plan.serialSide));
-        appendU64(phase_key, static_cast<uint64_t>(plan.parallelSide));
-        phase_key.insert(phase_key.end(), gen_identity.begin(),
-                         gen_identity.end());
-        Fnv64 h;
-        h.addBytes(phase_key.data(), phase_key.size());
-        phase_hash = h.value();
-
-        PhaseMemoValue v;
-        if (memo->lookup(phase_hash, phase_key.data(), phase_key.size(),
-                         &v, sizeof(v))) {
-            PhaseRunResult result;
-            result.avgCyclesPerStep = v.avgCyclesPerStep;
-            result.steps = v.steps;
-            result.serialSide = static_cast<TensorKind>(v.serialSide);
-            result.peStats = v.peStats;
-            result.serialStats = v.serialStats;
-            result.parallelStats = v.parallelStats;
-            result.memoHits = 1;
-            return result;
-        }
-    }
+    const std::vector<unsigned char> gen_identity =
+        memo && generated_supply ? generatorIdentity(plan)
+                                 : std::vector<unsigned char>();
 
     // Operand streams arrive through the SlabSupply seam: the default
     // generator-backed supply synthesizes each burst's windows from
@@ -447,23 +399,6 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
                               static_cast<double>(cfg.sampleSteps);
     g_phaseSteps.add(result.steps);
     g_phaseCycles.add(total_cycles);
-
-    if (!phase_key.empty()) {
-        // The phase-grain lookup above missed; cache the whole result
-        // so a later identical (config, plan, seed, profiles) phase —
-        // another sweep job, another rep — skips even operand
-        // generation.
-        result.memoMisses += 1;
-        PhaseMemoValue v;
-        v.avgCyclesPerStep = result.avgCyclesPerStep;
-        v.steps = result.steps;
-        v.serialSide = static_cast<uint64_t>(result.serialSide);
-        v.peStats = result.peStats;
-        v.serialStats = result.serialStats;
-        v.parallelStats = result.parallelStats;
-        memo->insert(phase_hash, phase_key.data(), phase_key.size(),
-                     &v, sizeof(v));
-    }
     return result;
 }
 

@@ -65,11 +65,9 @@ struct PhaseRunConfig
     /**
      * Content-addressed memoization (sim/sim_memo.h). Null uses the
      * process-wide SimMemo::global() (which FPRAKER_MEMO sizes or
-     * disables); tests install private instances. Two grains apply:
-     * generator-backed phases cache their whole result keyed on
-     * (config digest, plan, profiles, seed), and every phase caches
-     * per-burst (cycles, stats). A generator-backed burst keys on
-     * what generates its bytes — (config digest, burst steps, window
+     * disables); tests install private instances. Every burst caches
+     * its (cycles, stats). A generator-backed burst keys on what
+     * generates its bytes — (config digest, burst steps, window
      * widths, seed, burst index, both profiles), exactly the inputs
      * of GeneratorSlabSupply's fills — so a hit skips the fill too; a
      * trace-backed burst keys on its operand window bytes. Both are
@@ -128,7 +126,7 @@ struct PhaseRunResult
     TensorStats parallelStats;
     uint64_t steps = 0;
     // Memoization accounting (provenance only — never fingerprinted):
-    // lookups that hit/missed at either grain during this run.
+    // bursts whose memo lookup hit/missed during this run.
     uint64_t memoHits = 0;
     uint64_t memoMisses = 0;
 };

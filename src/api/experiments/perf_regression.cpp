@@ -25,8 +25,7 @@
  *    produce identical bits, plus the slab term classifier
  *    (slab_ops countTerms) timed on its own.
  *  - baseline_tile — the functional bit-parallel tile's batched row
- *    walk, serial vs PE rows sharded across an engine, with output
- *    digests that must match.
+ *    walk, serial, with an output digest.
  *  - serving — the PR 5 serving layer (src/serve/): a cold/hot
  *    request replay against an in-process JobScheduler, reporting
  *    requests/s on both paths, hot p50/p99 latency, and the cache
@@ -42,13 +41,15 @@
  *    operand streams with the generator, over one im2col-lowered
  *    conv phase. The replayed and synthesized streams must be
  *    bit-identical.
- *  - memo — the PR 9 memoization grains (sim/sim_memo.h): the same
- *    conv phase simulated end-to-end through runPhaseSample with the
- *    memo off, cold (fresh: every burst misses and inserts), and
- *    warm (primed: every burst hits, skipping the tile), plus the
- *    phase grain over the generator supply. All five result digests
- *    must be identical; the warm-replay speedup over cold is the
- *    payoff scripts/check_perf_floor.py gates.
+ *  - memo — the PR 9 burst memo (sim/sim_memo.h): the same conv
+ *    phase simulated end-to-end through runPhaseSample with the memo
+ *    off, cold (fresh: every burst misses and inserts), and warm
+ *    (primed: every burst hits, skipping the tile), over the trace
+ *    supply (content keys) and again over the generator supply
+ *    (generator-identity keys; a warm hit skips the operand fill
+ *    too). All five result digests must be identical; the
+ *    warm-replay speedup over cold is the payoff
+ *    scripts/check_perf_floor.py gates.
  *  - telemetry — the PR 10 observability layer (src/obs/): the
  *    per-operation cost of one counter add, one histogram observe,
  *    and a TraceSpan with tracing disabled, over tight loops.
@@ -590,9 +591,10 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
     // through runPhaseSample over the trace supply — memo off, cold
     // (fresh memo: every burst misses, inserts, and still simulates),
     // warm (primed memo: every burst hits, skipping the tile) — plus
-    // the phase grain over the generator supply (a warm hit skips
-    // even operand generation). Memo state must never change results,
-    // so all five digests must be identical.
+    // cold and warm over the generator supply, whose bursts key on the
+    // generator identity (a warm hit skips even operand generation).
+    // The "phase" rows keep their historical names. Memo state must
+    // never change results, so all five digests must be identical.
     const ModelInfo &wl_carrier = wl_model.carrierOf(wl_unit);
     const workload::WorkloadUnit &wl_u = wl_model.units()[wl_unit];
     uint64_t memo_run_hits = 0;
@@ -684,10 +686,8 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
     memo_row("phase cold", memo_pcold_t);
     memo_row("phase warm", memo_pwarm_t);
 
-    // Functional-baseline tile: the batched row walk, serial vs
-    // row-sharded across an engine (BaselineTile::run's PE rows are
-    // independent given the pre-decoded batch). Steps reuse the
-    // kernel workload's slabs, built untimed.
+    // Functional-baseline tile: the batched row walk over the kernel
+    // workload's slabs, built untimed.
     const size_t base_steps_n =
         std::min<size_t>(static_cast<size_t>(w.steps), 1024);
     const size_t base_a_len =
@@ -701,12 +701,11 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
         base_steps[s].b.assign(w.b.begin() + s * base_b_len,
                                w.b.begin() + (s + 1) * base_b_len);
     }
-    auto base_run = [&](int bt) {
-        SimEngine bengine(bt);
+    TileTiming base_serial_t = best([&] {
         BaselineTile btile(w.tile);
         TileTiming t;
         double t0 = now();
-        btile.run(base_steps, bt > 1 ? &bengine : nullptr);
+        btile.run(base_steps);
         t.seconds = now() - t0;
         Checksum sum;
         for (int r = 0; r < w.tile.rows; ++r)
@@ -719,32 +718,10 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
         sum.add(bs.ineffectualMacs);
         t.checksum = sum.value();
         return t;
-    };
-    TileTiming base_serial_t = best([&] { return base_run(1); });
-    TileTiming base_shard_t = best([&] { return base_run(threads); });
-    bool base_identical =
-        base_serial_t.checksum == base_shard_t.checksum;
-    // Below kShardMinMacs the sharded call falls back to the serial
-    // walk (PR 9: the fork/join barrier cost more than this batch —
-    // BENCH_PR8 measured 0.83x), so its "speedup" is serial-vs-serial
-    // noise. When the batch IS large enough to shard, a speedup below
-    // 1.0 would mean the threshold is mis-set — fail loudly.
-    const bool base_shard_fallback =
-        threads <= 1 ||
-        base_steps_n * static_cast<uint64_t>(
-                           w.tile.rows * w.tile.cols *
-                           w.tile.pe.lanes) <
-            BaselineTile::kShardMinMacs;
-    const double base_speedup =
-        base_serial_t.seconds / base_shard_t.seconds;
-    if (!base_shard_fallback && base_speedup < 1.0)
-        res.fail("baseline tile sharding slower than serial above "
-                 "the work threshold");
+    });
 
     std::snprintf(caption, sizeof(caption),
-                  "baseline tile: %zu steps, rows sharded at %d "
-                  "threads",
-                  base_steps_n, threads);
+                  "baseline tile: %zu steps, serial", base_steps_n);
     ResultTable &bt_table = res.table(
         "baseline_tile", {"mode", "seconds", "steps/s", "digest"});
     bt_table.caption = caption;
@@ -752,11 +729,6 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
                      Table::cell(base_steps_n / base_serial_t.seconds,
                                  0),
                      hex16(base_serial_t.checksum)});
-    bt_table.addRow({std::to_string(threads) + " threads",
-                     Table::cell(base_shard_t.seconds, 4),
-                     Table::cell(base_steps_n / base_shard_t.seconds,
-                                 0),
-                     hex16(base_shard_t.checksum)});
 
     // Serving layer: cold/hot request replay against an in-process
     // JobScheduler (the PR 5 tentpole). Small spec budgets keep the
@@ -878,7 +850,7 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
                          sweep_identical && model_identical &&
                          gen_identical &&
                          wl_identical && memo_identical &&
-                         base_identical && serve_identical;
+                         serve_identical;
     res.note(std::string("bit-identical: ") +
              (all_identical ? "yes" : "NO — REGRESSION"));
     if (!all_identical)
@@ -1005,13 +977,7 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
     res.group("baseline_tile")
         .metric("steps", static_cast<uint64_t>(base_steps_n))
         .metric("serial_s", base_serial_t.seconds, 6)
-        .metric("sharded_s", base_shard_t.seconds, 6)
-        .metric("sharded_threads", threads)
-        .metric("speedup_sharded", base_speedup, 3)
-        .metric("shard_fallback", base_shard_fallback)
-        .metric("digest_serial", hex16(base_serial_t.checksum))
-        .metric("digest_sharded", hex16(base_shard_t.checksum))
-        .metric("bit_identical", base_identical);
+        .metric("digest_serial", hex16(base_serial_t.checksum));
     serve::addServingGroup(res, serve_opts, serve_r);
     serve::addShedGroup(res, shed_opts, shed_r);
     res.group("telemetry")
@@ -1046,7 +1012,6 @@ REGISTER_EXPERIMENT("perf_regression", "Perf",
     fp.add(memo_pcold_t.checksum);
     fp.add(memo_pwarm_t.checksum);
     fp.add(base_serial_t.checksum);
-    fp.add(base_shard_t.checksum);
     fp.add(serve_r.digest);
     fp.add(shed_r.digest);
     fp.add(static_cast<uint64_t>(all_identical ? 1 : 0));

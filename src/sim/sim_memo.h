@@ -1,6 +1,6 @@
 /**
  * @file
- * Content-addressed simulation memoization (burst and phase grains).
+ * Content-addressed simulation memoization, one entry per burst.
  *
  * Bursts are pure functions of (tile configuration, operand window
  * bytes) — the accumulators reset between output blocks, and phase
@@ -10,7 +10,7 @@
  * re-simulating identical phases) repeats the exact same simulation.
  * SimMemo turns that repetition into lookups: a thread-safe,
  * striped-lock, byte-budgeted LRU keyed by FNV-1a over the full key
- * bytes (config digest ‖ grain tag ‖ content).
+ * bytes (config digest ‖ key-kind tag ‖ content).
  *
  * The content is whatever determines the operand bytes. A
  * generator-backed burst keys on its generator's inputs — burst
@@ -19,7 +19,9 @@
  * function of exactly these, so equal keys mean equal bytes and a hit
  * skips the fill as well as the tile. A trace-backed burst has no
  * generator behind it and keys on its operand bytes verbatim (~4-8
- * KiB). The phase runner (accel/phase_runner.cpp) builds both.
+ * KiB). The phase runner (accel/phase_runner.cpp) builds both kinds;
+ * a phase is never cached whole, so a memoized phase still walks every
+ * burst and adds its per-burst counters.
  *
  * Exact by construction: every entry stores its complete key bytes and
  * a lookup memcmp-verifies them, so a hash collision is a miss, never

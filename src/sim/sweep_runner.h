@@ -25,15 +25,16 @@
  * seeds RNG substreams by unit index (trace/rng_stream.h). Reports are
  * therefore bit-identical at any thread count.
  *
- * Memoization (the phase grain): every accelerator a runner builds
- * shares the process-wide SimMemo::global() through its phase samples,
+ * Memoization: every accelerator a runner builds shares the
+ * process-wide SimMemo::global() through its phase samples' bursts,
  * so sweep jobs that re-simulate an identical (config, plan, seed,
  * profiles) phase — ablation grids that vary one knob, repeated
  * progress points, `fpraker run --all` experiments over the same zoo —
- * hit warm and skip the tile entirely. Cached values are byte copies
- * of the identical computation, so reports stay bit-identical whether
- * the memo is cold, warm, or off (FPRAKER_MEMO=off). memoStats()
- * exposes the global counters for provenance.
+ * hit warm on every burst and skip the operand fill and the tile.
+ * Cached values are byte copies of the identical computation, so
+ * reports stay bit-identical whether the memo is cold, warm, or off
+ * (FPRAKER_MEMO=off). memoStats() exposes the global counters for
+ * provenance.
  */
 
 #ifndef FPRAKER_SIM_SWEEP_RUNNER_H

@@ -171,7 +171,7 @@ BaselineTile::BaselineTile(const TileConfig &cfg)
 }
 
 TileRunResult
-BaselineTile::run(const std::vector<TileStep> &steps, SimEngine *engine)
+BaselineTile::run(const std::vector<TileStep> &steps)
 {
     const int lanes = cfg_.pe.lanes;
     const size_t rows = static_cast<size_t>(cfg_.rows);
@@ -196,42 +196,6 @@ BaselineTile::run(const std::vector<TileStep> &steps, SimEngine *engine)
     // operand decode (finite check, sign/exponent/significand split)
     // runs once per vector per step instead of once per PE — the grid
     // then consumes the rows x cols cross product of decoded vectors.
-    //
-    // With a multi-thread engine the whole batch pre-decodes up front
-    // (itself sharded over the steps) and then the PE rows shard: a
-    // PE's accumulator/stats are only touched by its own row's worker,
-    // in step order, so the result is bit-identical to the serial
-    // walk. Serially, decode stays interleaved per step (better cache
-    // reuse than a whole-batch decode pass).
-    // Sharding only pays once the batch amortizes the fork/join
-    // barrier and the whole-batch decode buffers; below kShardMinMacs
-    // the serial walk is faster (BENCH_PR8: 0.83x on 0.5 M MACs), so
-    // small batches keep the interleaved per-step decode.
-    const bool shard_rows =
-        engine && engine->threads() > 1 && rows > 1 &&
-        result.macs >= kShardMinMacs;
-    if (shard_rows) {
-        std::vector<DecodedOperands> da(steps.size() * cols);
-        std::vector<DecodedOperands> db(steps.size() * rows);
-        engine->parallelFor(steps.size(), [&](size_t s) {
-            const TileStep &step = steps[s];
-            for (size_t c = 0; c < cols; ++c)
-                BaselinePe::decode(step.a.data() + c * lanes, lanes,
-                                   da[s * cols + c]);
-            for (size_t r = 0; r < rows; ++r)
-                BaselinePe::decode(step.b.data() + r * lanes, lanes,
-                                   db[s * rows + r]);
-        });
-        engine->parallelFor(rows, [&](size_t r) {
-            BaselinePe *row_pes = pes_.data() + r * cols;
-            for (size_t s = 0; s < steps.size(); ++s)
-                for (size_t c = 0; c < cols; ++c)
-                    row_pes[c].processDecoded(da[s * cols + c],
-                                              db[s * rows + r]);
-        });
-        return result;
-    }
-
     std::vector<DecodedOperands> da(cols);
     std::vector<DecodedOperands> db(rows);
     for (const TileStep &step : steps) {

@@ -169,26 +169,10 @@ class BaselineTile
     explicit BaselineTile(const TileConfig &cfg);
 
     /**
-     * Process a step sequence. When @p engine carries more than one
-     * thread AND the batch holds at least kShardMinMacs of work, the
-     * PE rows shard across it: the batch's operand vectors are
-     * pre-decoded once (steps x (rows + cols) decodes, each sharded
-     * too), then each row's PEs walk the whole batch independently —
-     * bit-identical to the serial walk because a PE is only ever
-     * touched by its own row's worker, in step order. Smaller batches
-     * fall back to the serial walk (same bits, no fork/join or
-     * whole-batch decode-buffer cost).
+     * Process a step sequence serially: each step's operand vectors
+     * decode once and the rows x cols grid consumes them in step order.
      */
-    TileRunResult run(const std::vector<TileStep> &steps,
-                      SimEngine *engine = nullptr);
-
-    /**
-     * Minimum batch MACs before sharding pays. Below this the
-     * fork/join barrier plus the whole-batch decode buffers cost more
-     * than the walk itself — BENCH_PR8 measured speedup_sharded 0.83x
-     * on a 0.5 M-MAC batch — so smaller runs stay on the serial path.
-     */
-    static constexpr uint64_t kShardMinMacs = 2ull << 20;
+    TileRunResult run(const std::vector<TileStep> &steps);
 
     float output(int r, int c) const;
     void resetAccumulators();
